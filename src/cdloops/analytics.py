@@ -4,9 +4,13 @@ Brute-force routines enumerate honestly and report exact counts as
 fractions.  Closed-form routines evaluate the matching exact expressions so
 the two can be compared at zero tolerance.  Commutation of two elements
 never depends on their scalar parts (those are central and cancel in the
-commutator), so pairwise surveys run over cosets of Z and multiply counts
-back by |Z|**2.  Associator scalars cancel the same way, but triple surveys
-still walk full element lists and only memoize the per-mask verdicts.
+commutator), so pairwise surveys run over cosets of Z, read the coset twist
+matrix T, and multiply counts back by |Z|**2: cosets c1, c2 commute exactly
+when T[c1, c2] == T[c2, c1], because T's entries are already reduced.  T
+is unsigned, so surveys that subtract entries upcast to int64 first.
+Associator scalars cancel the same way, but the associativity, Moufang and
+di-associativity surveys still walk full element lists, reading the
+per-loop twist table through twist_exp and caching per-span verdicts.
 """
 
 from __future__ import annotations
@@ -139,8 +143,7 @@ def commutant_coset_sizes(
     pairs = A.coset_count**2
     ensure_budget(pairs, max_elements, "commutant survey over coset pairs")
     twist = coset_twist_matrix(A)
-    commutes = (twist - twist.T) % A.z.order == 0
-    return [int(c) for c in commutes.sum(axis=1)]
+    return [int(c) for c in (twist == twist.T).sum(axis=1)]
 
 
 def commutativity_degree_brute(
@@ -150,8 +153,7 @@ def commutativity_degree_brute(
     pairs = A.coset_count**2
     ensure_budget(pairs, max_elements, "commutativity survey over coset pairs")
     twist = coset_twist_matrix(A)
-    commutes = (twist - twist.T) % A.z.order == 0
-    favorable = int(commutes.sum()) * A.z.order**2
+    favorable = int((twist == twist.T).sum()) * A.z.order**2
     total = A.order**2
     return DegreeReport(
         Fraction(favorable, total), favorable, total, "brute", A.m, A.n, A.z.order
@@ -245,7 +247,7 @@ def commutator_exponent_image(
     coset pairs equals the image over all element pairs.
     """
     ensure_budget(A.coset_count**2, max_elements, "commutator image over coset pairs")
-    twist = coset_twist_matrix(A)
+    twist = coset_twist_matrix(A).astype(np.int64)
     return {int(v) for v in np.unique((twist - twist.T) % A.z.order)}
 
 
@@ -259,7 +261,7 @@ def associator_exponent_image(
     """
     size = A.coset_count
     ensure_budget(size**3, max_elements, "associator image over coset triples")
-    twist = coset_twist_matrix(A)
+    twist = coset_twist_matrix(A).astype(np.int64)
     combo = np.arange(size)
     xor = combo[:, None] ^ combo[None, :]
     exps = (

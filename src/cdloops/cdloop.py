@@ -5,15 +5,23 @@ with l_i**2 = gamma_i.  Every element of the resulting loop is uniquely a
 scalar times a basis monomial, so we represent elements as (scalar, mask)
 pairs where bit i-1 of the mask says whether l_i participates.  The product
 of two basis monomials is the monomial of the XOR'd mask times a scalar
-"twist", computed by unrolling the doubling law one generator at a time;
-multiplication therefore never touches symbolic trees.
+"twist", so multiplication never touches symbolic trees.
+
+The twist exponents form one dense 2**n x 2**n table per loop, built by
+applying the doubling law one generator at a time to the whole table (see
+twist_table) and cached on the descriptor.  Single products read that table
+while it stays within the default enumeration budget; deeper loops, up to
+MAX_GENERATORS, unroll the same law over the mask bits instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .budget import ensure_budget
+import numpy as np
+
+from .budget import DEFAULT_MAX_ELEMENTS, ensure_budget
 from .scalars import Scalar, ScalarGroup
 
 MAX_GENERATORS = 16
@@ -25,7 +33,6 @@ class CDLoop:
 
     z: ScalarGroup
     gammas: tuple[Scalar, ...]
-    _twist_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(self.gammas))
@@ -68,36 +75,65 @@ class CDLoop:
 
     def twist_exp(self, e: int, f: int) -> int:
         """Exponent of the scalar t(e, f) with b(e)*b(f) = t(e, f)*b(e^f)."""
-        key = (e, f)
-        memo = self._twist_memo
-        value = memo.get(key)
-        if value is None:
-            value = self._twist(self.n, e, f)
-            memo[key] = value
-        return value
+        rows = self._twist_rows
+        if rows is None:
+            return self._twist_bits(e, f)
+        return rows[e][f]
 
-    def _twist(self, level: int, e: int, f: int) -> int:
-        # Peel off the top generator.  With x = q + r*l and y = s + t*l the
-        # doubling law reads (q + r*l)(s + t*l) = qs + gamma*conj(t)*r
-        # + (t*q + r*conj(s))*l, and on single monomials each case keeps
-        # exactly one term.  conj negates every non-scalar monomial, whence
-        # the f1 != 0 sign below.
-        if level == 0:
-            return 0
+    def twist_table(self) -> np.ndarray:
+        """Dense read-only table of twist_exp(e, f), built once per descriptor.
+
+        Each generator l_k doubles the table T of l_1..l_{k-1}: the doubling
+        law (q + r*l)(s + t*l) = qs + gamma*conj(t)*r + (t*q + r*conj(s))*l
+        keeps one term per pair of monomials, giving [[T, T.T], [T + S,
+        T.T + S + gamma]] mod |Z|, where S is |Z|/2 (conj's sign) in every
+        column but 0.  Entries are stored in the narrowest unsigned dtype
+        that holds the sum of two of them.  The table has 4**n entries;
+        callers charge the budget.
+        """
+        return self._twist_table
+
+    @cached_property
+    def _twist_table(self) -> np.ndarray:
         order = self.z.order
-        top = 1 << (level - 1)
-        low = top - 1
-        a, b = e & top, f & top
-        e1, f1 = e & low, f & low
-        if not a:
-            if not b:
-                return self._twist(level - 1, e1, f1)
-            return self._twist(level - 1, f1, e1)
-        sign = order // 2 if f1 else 0
-        if not b:
-            return (sign + self._twist(level - 1, e1, f1)) % order
-        gamma = self.gammas[level - 1].exponent
-        return (gamma + sign + self._twist(level - 1, f1, e1)) % order
+        dtype = np.min_scalar_type(2 * (order - 1))
+        table = np.zeros((1, 1), dtype=dtype)
+        for g in self.gammas:
+            sign = np.full(len(table), order // 2, dtype=dtype)
+            sign[0] = 0
+            sign_gamma = (sign + dtype.type(g.exponent)) % order
+            flip = table.T
+            table = np.block(
+                [[table, flip], [(table + sign) % order, (flip + sign_gamma) % order]]
+            )
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def _twist_rows(self) -> list[list[int]] | None:
+        # Python rows keep element-level walks at list-indexing speed; past
+        # the default budget no dense table is built and the bit loop serves.
+        if 4**self.n > DEFAULT_MAX_ELEMENTS:
+            return None
+        return self.twist_table().tolist()
+
+    def _twist_bits(self, e: int, f: int) -> int:
+        # The doubling law of twist_table, unrolled from the top generator
+        # down for one pair of masks.
+        half = self.z.order // 2
+        exp = 0
+        for level in range(self.n, 0, -1):
+            top = 1 << (level - 1)
+            a, b = e & top, f & top
+            e, f = e & (top - 1), f & (top - 1)
+            if a:
+                if f:
+                    exp += half
+                if b:
+                    exp += self.gammas[level - 1].exponent
+            if b:
+                e, f = f, e
+        return exp % self.z.order
 
     def twist(self, e: int, f: int) -> Scalar:
         self._check_mask(e)

@@ -5,12 +5,14 @@ direct product, pairs that differ only by a balanced scalar rearrangement
 are identified.  Working in that quotient, every element has a canonical
 form (global scalar, mask per factor): factor scalars all fold into one.
 Factors multiply independently, so the product of two canonical forms
-multiplies the global scalars by every per-factor twist.
+multiplies the global scalars by every per-factor twist.  Over cosets of Z
+those twists add up to the Kronecker sum of the factors' dense twist
+tables, which coset_twist_matrix builds in one broadcast per factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +27,6 @@ class CentralProduct:
 
     z: ScalarGroup
     factors: tuple[CDLoop, ...]
-    _twist_tables: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -145,15 +146,9 @@ class CentralProduct:
         exp, combined = divmod(index, self.coset_count)
         return ProductElement(self, Scalar(self.z, exp), self.split_mask(combined))
 
-    def twist_tables(self) -> list[list[list[int]]]:
-        """Dense per-factor twist exponent tables t_i[e][f], built once."""
-        if not self._twist_tables:
-            size = 1 << self.n
-            for d in self.factors:
-                self._twist_tables.append(
-                    [[d.twist_exp(e, f) for f in range(size)] for e in range(size)]
-                )
-        return self._twist_tables
+    def twist_tables(self) -> list[np.ndarray]:
+        """Dense per-factor twist exponent tables t_i[e][f] (CDLoop.twist_table)."""
+        return [d.twist_table() for d in self.factors]
 
     def _check_member(self, x: "ProductElement") -> None:
         if x.product is not self and x.product != self:
@@ -219,14 +214,17 @@ def coset_twist_matrix(A: CentralProduct) -> np.ndarray:
 
     Extends the per-factor twists to cosets of Z: the scalar picked up when
     multiplying representatives of two cosets is the product of the factor
-    twists, so exponents add.
+    twists, so exponents add.  Factor 1 sits in the low n bits, so each
+    further factor becomes the outer block index of a Kronecker sum.  The
+    sum is reduced after every factor, so entries keep the factor tables'
+    narrow unsigned dtype: upcast before subtracting entries.
     """
-    n, size = A.n, A.coset_count
-    combo = np.arange(size)
-    low = (1 << n) - 1
-    total = np.zeros((size, size), dtype=np.int64)
-    for i, table in enumerate(A.twist_tables()):
-        per_factor = np.asarray(table, dtype=np.int64)
-        masks = (combo >> (n * i)) & low
-        total += per_factor[np.ix_(masks, masks)]
-    return total % A.z.order
+    order = A.z.order
+    tables = A.twist_tables()
+    total = tables[0].copy()
+    for table in tables[1:]:
+        outer, inner = len(table), len(total)
+        grid = table[:, None, :, None] + total[None, :, None, :]
+        np.remainder(grid, order, out=grid)
+        total = grid.reshape(outer * inner, outer * inner)
+    return total

@@ -2,23 +2,19 @@
 
 All results go to standard output as JSON (exact rationals as
 {"num", "den", "decimal"}); diagnostics go to standard error.  Exit codes:
-0 success, 1 failed verification checks, 2 invalid input, 3 budget
-exceeded.
+0 success, 1 failed verification checks or a closed stdout pipe, 2 invalid
+input, 3 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .abstract_loop import (
-    find_isomorphism,
-    parse_loop_table,
-    serialize_loop_table,
-    to_table,
-)
+from .abstract_loop import parse_loop_table, serialize_loop_table, to_table
 from .analytics import (
     DegreeReport,
     associativity_degree_brute,
@@ -31,7 +27,7 @@ from .analytics import (
 )
 from .cdloop import CDLoop
 from .central_product import CentralProduct, make_product
-from .decompose import match_factors, recover_factors
+from .decompose import factor_compatibility, match_factors, recover_factors
 from .errors import BudgetExceeded, DecompositionError, TableFormatError
 from .scalars import ScalarGroup, make_scalar_group
 from .verify import run_verify
@@ -263,14 +259,8 @@ def _cmd_decompose(args) -> int:
         with open(args.match_against) as fh:
             other_loop = parse_loop_table(fh.read())
         other = recover_factors(other_loop, args.n, pivot_order=args.pivot_order)
-        pairs = [
-            [
-                find_isomorphism(dec.factors[j], other.factors[k]) is not None
-                for k in range(other.m)
-            ]
-            for j in range(dec.m)
-        ]
-        sigma = match_factors(dec, other) if dec.m == other.m else None
+        pairs = factor_compatibility(dec, other)
+        sigma = match_factors(dec, other, pairs) if dec.m == other.m else None
         payload["match"] = {"sigma": sigma, "pairs": pairs}
     _emit(payload)
     return 0
@@ -411,7 +401,15 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_fuse_dash_values(list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (e.g. `cdl ... | head`).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ Given only an N x N table and the doubling depth n, the pipeline is:
     rank-1 elements failing to commute with x are exactly the rest of
     D_j outside Z<x>; closing over them and the center rebuilds D_j.
  4. match_factors: factor lists of two decompositions are matched up to
-    isomorphism.
+    isomorphism, from the factor_compatibility matrix.
 """
 
 from __future__ import annotations
@@ -181,25 +181,33 @@ def recover_factors(
     )
 
 
-def match_factors(left: Decomposition, right: Decomposition) -> list[int] | None:
+def factor_compatibility(left: Decomposition, right: Decomposition) -> list[list[bool]]:
+    """compatible[j][k] is True iff left factor j is isomorphic to right factor k."""
+    return [
+        [find_isomorphism(a, b) is not None for b in right.factors]
+        for a in left.factors
+    ]
+
+
+def match_factors(
+    left: Decomposition,
+    right: Decomposition,
+    compatible: list[list[bool]] | None = None,
+) -> list[int] | None:
     """Pair up factors of two decompositions by isomorphism.
 
     Returns sigma with left factor j isomorphic to right factor sigma[j],
-    or None when no perfect matching exists.
+    or None when no perfect matching exists.  A caller that already holds
+    factor_compatibility(left, right) passes it as `compatible`, so no
+    isomorphism search runs twice.
     """
     if left.m != right.m:
         raise ValueError(
             f"decompositions have different factor counts: {left.m} and {right.m}"
         )
     m = left.m
-    compatible = [
-        [
-            left.factors[j].size == right.factors[k].size
-            and find_isomorphism(left.factors[j], right.factors[k]) is not None
-            for k in range(m)
-        ]
-        for j in range(m)
-    ]
+    if compatible is None:
+        compatible = factor_compatibility(left, right)
     sigma = [-1] * m
     used = [False] * m
     def backtrack(j: int) -> bool:

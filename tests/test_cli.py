@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cdloops import parse_loop_table
+import cdloops
+from cdloops import cli, decompose, parse_loop_table
 from cdloops.cli import main
 
 
@@ -198,6 +203,27 @@ def test_decompose_cli_match_against(capsys, tmp_path):
     assert sorted(payload["match"]["sigma"]) == [0, 1]
 
 
+def test_decompose_match_against_searches_each_factor_pair_once(
+    capsys, tmp_path, monkeypatch
+):
+    left = tmp_path / "left.txt"
+    right = tmp_path / "right.txt"
+    run_cli(capsys, "export", "--z-order", "2",
+            "--factors", "-1,-1,-1;+1,-1,+1", "--out", str(left))
+    run_cli(capsys, "export", "--z-order", "2",
+            "--factors", "+1,-1,+1;-1,-1,-1", "--out", str(right))
+    calls = []
+    search = decompose.find_isomorphism
+    for module in (cli, decompose):  # every binding the CLI can reach it by
+        if hasattr(module, "find_isomorphism"):
+            monkeypatch.setattr(module, "find_isomorphism",
+                                lambda a, b: calls.append(1) or search(a, b))
+    payload = run_json(capsys, "decompose", "--table", str(left), "--n", "3",
+                       "--match-against", str(right))
+    assert len(calls) == 4  # one search per factor pair at m = 2
+    assert payload["match"] == {"sigma": [1, 0], "pairs": [[False, True], [True, False]]}
+
+
 def test_decompose_cli_rejects_shallow_depth(capsys, tmp_path):
     table = tmp_path / "q8.txt"
     run_cli(capsys, "export", "--z-order", "2", "--gammas", "-1,-1", "--out", str(table))
@@ -235,3 +261,23 @@ def test_verify_cli_small_run(capsys):
     assert payload["summary"]["fail"] == 0
     assert payload["summary"]["pass"] >= 40
     assert "PASS" in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    src = str(Path(cdloops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cdloops.cli", "limits", "--mode", "grow_n",
+         "--fixed", "2", "--start", "1", "--stop", "600"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.read(10) == b'{\n  "mode"'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
