@@ -5,11 +5,18 @@ and works with an N x N Latin square over indices 0..N-1.  This module
 validates such tables, computes centers, closures and element orders, builds
 tables from loop descriptors, searches for isomorphisms, and reads/writes
 the loop-table v1 interchange format.
+
+Isomorphism search runs on a word program compiled once per loop: a greedy
+generator ladder, and for each generator the waves of products that reach
+every element it adds to the closure.  Evaluating the program on a whole
+array of candidate images at once turns the backtracking search into a few
+numpy passes per node.
 """
 
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +26,11 @@ from .central_product import CentralProduct, coset_twist_matrix
 from .errors import BudgetExceeded, TableFormatError
 
 MAX_ISO_SIZE = 256
+
+# Cap on the cells of one candidate block's temporaries in find_isomorphism.
+_BLOCK_CELLS = 1 << 20
+# Rows of a level's new elements checked before the rest (see find_isomorphism).
+_PROBE_ROWS = 4
 
 
 class AbstractLoop:
@@ -45,6 +57,7 @@ class AbstractLoop:
         self._commutant_counts: np.ndarray | None = None
         self._signature_cache: list[tuple[int, int, int]] | None = None
         self._ladder_cache: list[int] | None = None
+        self._program_cache: list[_Step | None] | None = None
 
     # -- validation ------------------------------------------------------------
 
@@ -115,15 +128,16 @@ class AbstractLoop:
 
     def closure(self, seed) -> set[int]:
         """Smallest subset containing the identity and seed, closed under mul."""
-        current = np.unique(
-            np.concatenate([np.fromiter(seed, dtype=np.int64), [self.identity]])
-        )
+        inside = np.zeros(self.size, dtype=bool)
+        inside[np.fromiter(seed, dtype=np.int64)] = True
+        inside[self.identity] = True
+        current = np.flatnonzero(inside)
         while True:
-            products = np.unique(self.table[np.ix_(current, current)])
-            merged = np.union1d(current, products)
-            if merged.size == current.size:
-                return {int(i) for i in merged}
-            current = merged
+            inside[self.table[np.ix_(current, current)]] = True
+            grown = np.flatnonzero(inside)
+            if grown.size == current.size:
+                return set(grown.tolist())
+            current = grown
 
     def element_orders(self) -> list[int]:
         """Left-power order of each element: least k with x^(k) = identity,
@@ -188,22 +202,83 @@ class AbstractLoop:
         return self._signature_cache
 
     def _generator_ladder(self) -> list[int]:
-        """Greedy generating sequence, each pick growing the closure the most."""
+        """Greedy generating sequence, each pick growing the closure the most.
+
+        Ties go to the smallest index.  A candidate inside an earlier
+        candidate's closure at the same step is skipped: its own closure is
+        contained in that one, so it can never strictly win.
+        """
         if self._ladder_cache is None:
             known = self.closure(())
             gens: list[int] = []
             while len(known) < self.size:
                 best_g, best_closure = -1, known
+                covered = set(known)
                 for g in range(self.size):
-                    if g in known:
+                    if g in covered:
                         continue
                     grown = self.closure(list(known) + [g])
+                    covered |= grown
                     if len(grown) > len(best_closure):
                         best_g, best_closure = g, grown
+                        if len(grown) == self.size:
+                            break
                 gens.append(best_g)
                 known = best_closure
             self._ladder_cache = gens
         return list(self._ladder_cache)
+
+    def _word_program(self) -> list[_Step | None]:
+        """The ladder as words: how each element is reached from the generators.
+
+        One step per ladder generator g, or None if g already lies in the
+        closure of the generators before it.  A step adds g, then closes the
+        set in waves; each wave is (xs, us, vs) with xs[i] = us[i] * vs[i]
+        for us, vs already in the set.
+        """
+        if self._program_cache is None:
+            arr = self.table
+            inside = np.zeros(self.size, dtype=bool)
+            inside[self.identity] = True
+            program: list[_Step | None] = []
+            for g in self._generator_ladder():
+                if inside[g]:
+                    program.append(None)
+                    continue
+                inside[g] = True
+                waves = []
+                while True:
+                    S = np.flatnonzero(inside)
+                    products = arr[np.ix_(S, S)].ravel()
+                    fresh = np.flatnonzero(~inside[products])
+                    if fresh.size == 0:
+                        break
+                    xs, first = np.unique(products[fresh], return_index=True)
+                    cell = fresh[first]
+                    waves.append((xs, S[cell // S.size], S[cell % S.size]))
+                    inside[xs] = True
+                new = np.concatenate([[g]] + [xs for xs, _, _ in waves])
+                program.append(
+                    _Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)])
+                )
+            self._program_cache = program
+        return self._program_cache
+
+
+class _Step(NamedTuple):
+    """One ladder level of the word program (see AbstractLoop._word_program).
+
+    new lists g and then the elements its waves add; S is the closure after
+    this level; new_by_S and S_by_new are left's products over new x S and
+    S x new.
+    """
+
+    g: int
+    waves: list
+    new: np.ndarray
+    S: np.ndarray
+    new_by_S: np.ndarray
+    S_by_new: np.ndarray
 
 
 def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> AbstractLoop:
@@ -242,8 +317,12 @@ def serialize_loop_table(loop: AbstractLoop) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_loop_table(text: str) -> AbstractLoop:
-    """Parse the loop-table v1 format and normalize the identity to index 0."""
+def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop:
+    """Parse the loop-table v1 format and normalize the identity to index 0.
+
+    The N^2 cells named by the header are charged against the enumeration
+    budget before any row is parsed.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise TableFormatError("empty input")
@@ -258,6 +337,7 @@ def parse_loop_table(text: str) -> AbstractLoop:
         raise TableFormatError(f"invalid size in header: {header[2]!r}") from None
     if n < 1:
         raise TableFormatError(f"size must be positive, got {n}")
+    ensure_budget(n * n, max_elements, "table parse")
     if len(lines) - 1 != n:
         raise TableFormatError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []
@@ -309,10 +389,16 @@ def find_isomorphism(
 ) -> list[int] | None:
     """Search for an isomorphism left -> right; returns the index map or None.
 
-    Elements are prefiltered by (left-power order, commutant size, count of
-    associating pairs), generators are chosen greedily to cover the loop in
-    few steps, and partial maps are propagated through products before
-    backtracking.  Any witness found is re-verified over the full table.
+    Elements are classed by (left-power order, commutant size, count of
+    associating pairs).  The search walks left's word program one ladder
+    generator g at a time.  At each node, every unused right element in g's
+    class is tried as g's image at once: the level's words give the images
+    of everything g adds, and a candidate row survives only if those images
+    are distinct, unused and in matching classes, and products over
+    new x S and S x new are preserved (pairs inside the old S passed at
+    earlier levels).  Each test is necessary for an isomorphism, so the
+    search is exhaustive: None means none exists.  Any witness found is
+    re-verified over the full table.
     """
     if left.size != right.size:
         return None
@@ -329,70 +415,61 @@ def find_isomorphism(
         return None
 
     n = left.size
-    t1 = left.table.tolist()
-    t2 = right.table.tolist()
-    gens = left._generator_ladder()
-    pools = [
-        [h for h in range(n) if sig_right[h] == sig_left[g]] for g in gens
-    ]
+    classes = {sig: k for k, sig in enumerate(sorted(set(sig_left)))}
+    cls_left = np.array([classes[sig] for sig in sig_left])
+    cls_right = np.array([classes[sig] for sig in sig_right])
+    t2 = right.table
+    program = left._word_program()
 
-    mapping = [-1] * n
-    reverse = [-1] * n
-    known: list[int] = []
-    trail: list[int] = []
+    def survivors(step: _Step, row: np.ndarray, used: np.ndarray, cands: np.ndarray):
+        C = np.repeat(row[None, :], cands.size, axis=0)
+        C[:, step.g] = cands
+        for xs, us, vs in step.waves:
+            C[:, xs] = t2[C[:, us], C[:, vs]]
+        img = C[:, step.new]
+        ok = (cls_right[img] == cls_left[step.new]).all(axis=1)
+        ok &= ~used[img].any(axis=1)
+        ranked = np.sort(img, axis=1)
+        ok &= (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)
+        C, img = C[ok], img[ok]
+        img_S = C[:, step.S]
+        # A wrong image breaks most products, so a few rows of new reject
+        # nearly every failing candidate before the full check.
+        for rows in (slice(0, _PROBE_ROWS), slice(_PROBE_ROWS, None)):
+            sub = img[:, rows]
+            left_mul = C[:, step.new_by_S[rows]] == t2[sub[:, :, None], img_S[:, None, :]]
+            right_mul = C[:, step.S_by_new[:, rows]] == t2[img_S[:, :, None], sub[:, None, :]]
+            ok = left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))
+            C, img, img_S = C[ok], img[ok], img_S[ok]
+        return C
 
-    def assign(a: int, b: int) -> bool:
-        queue = [(a, b)]
-        while queue:
-            p, q = queue.pop()
-            if mapping[p] != -1:
-                if mapping[p] != q:
-                    return False
-                continue
-            if reverse[q] != -1:
-                return False
-            mapping[p] = q
-            reverse[q] = p
-            known.append(p)
-            trail.append(p)
-            for c in known:
-                for u, v in ((p, c), (c, p)):
-                    product = t1[u][v]
-                    image = t2[mapping[u]][mapping[v]]
-                    got = mapping[product]
-                    if got == -1:
-                        queue.append((product, image))
-                    elif got != image:
-                        return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            p = trail.pop()
-            known.pop()
-            reverse[mapping[p]] = -1
-            mapping[p] = -1
-
-    if not assign(left.identity, right.identity):
+    def search(level: int, row: np.ndarray, used: np.ndarray) -> np.ndarray | None:
+        if level == len(program):
+            return row
+        step = program[level]
+        if step is None:
+            return search(level + 1, row, used)
+        cands = np.flatnonzero((cls_right == cls_left[step.g]) & ~used)
+        # Candidate rows per block, so that the (rows, |new|, |S|)
+        # temporaries stay within _BLOCK_CELLS cells.
+        block = max(1, _BLOCK_CELLS // (step.new.size * step.S.size))
+        for lo in range(0, cands.size, block):
+            for nxt in survivors(step, row, used, cands[lo:lo + block]):
+                now_used = used.copy()
+                now_used[nxt[step.new]] = True
+                found = search(level + 1, nxt, now_used)
+                if found is not None:
+                    return found
         return None
 
-    def search(level: int) -> bool:
-        if level == len(gens):
-            return all(v != -1 for v in mapping)
-        g = gens[level]
-        if mapping[g] != -1:
-            return search(level + 1)
-        for h in pools[level]:
-            if reverse[h] != -1:
-                continue
-            mark = len(trail)
-            if assign(g, h) and search(level + 1):
-                return True
-            undo(mark)
-        return False
-
-    if not search(0):
+    row = np.full(n, -1, dtype=np.int64)
+    row[left.identity] = right.identity
+    used = np.zeros(n, dtype=bool)
+    used[right.identity] = True
+    found = search(0, row, used)
+    if found is None:
         return None
+    mapping = found.tolist()
     if not verify_isomorphism(left, right, mapping):
         raise RuntimeError("internal error: isomorphism witness failed verification")
     return mapping

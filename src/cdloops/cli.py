@@ -226,7 +226,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_import(args) -> int:
     with open(args.table) as fh:
-        loop = parse_loop_table(fh.read())
+        loop = parse_loop_table(fh.read(), args.max_elements)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(serialize_loop_table(loop))
@@ -245,7 +245,7 @@ def _cmd_import(args) -> int:
 
 def _cmd_decompose(args) -> int:
     with open(args.table) as fh:
-        loop = parse_loop_table(fh.read())
+        loop = parse_loop_table(fh.read(), args.max_elements)
     dec = recover_factors(loop, args.n, pivot_order=args.pivot_order)
     payload = {
         "n": dec.n,
@@ -257,7 +257,7 @@ def _cmd_decompose(args) -> int:
     }
     if args.match_against:
         with open(args.match_against) as fh:
-            other_loop = parse_loop_table(fh.read())
+            other_loop = parse_loop_table(fh.read(), args.max_elements)
         other = recover_factors(other_loop, args.n, pivot_order=args.pivot_order)
         pairs = factor_compatibility(dec, other)
         sigma = match_factors(dec, other, pairs) if dec.m == other.m else None

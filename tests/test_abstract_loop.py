@@ -126,6 +126,16 @@ def test_parse_diagnostics():
         parse_loop_table("loop-table v1 2\n0 1 1\n1 0\n")
 
 
+def test_parse_charges_the_header_size_before_reading_rows():
+    text = serialize_loop_table(O16)
+    assert parse_loop_table(text, max_elements=16 * 16) == O16
+    with pytest.raises(BudgetExceeded, match="table parse needs 256 items"):
+        parse_loop_table(text, max_elements=255)
+    # The rows below the header are never read, so their defects go unseen.
+    with pytest.raises(BudgetExceeded, match="table parse"):
+        parse_loop_table("loop-table v1 1000\nnot a row\n", max_elements=10)
+
+
 def test_relabel_is_an_isomorphism():
     rng = random.Random(7)
     shuffled, perm = random_relabel(O16, rng)

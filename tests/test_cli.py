@@ -242,6 +242,38 @@ def test_budget_exits_with_code_three(capsys):
     assert "budget" in err
 
 
+def test_import_and_decompose_charge_table_parsing(capsys, tmp_path):
+    table = tmp_path / "prod.txt"  # 128 elements: 16384 cells
+    run_cli(capsys, "export", "--z-order", "2",
+            "--factors", "-1,-1,-1;+1,-1,+1", "--out", str(table))
+    for argv in (["import", "--table", str(table)],
+                 ["decompose", "--table", str(table), "--n", "3"]):
+        code, out, err = run_cli(capsys, *argv, "--max-elements", "10")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: table parse needs 16384 items")
+        assert len(err.splitlines()) == 1
+
+
+def test_decompose_charges_each_table_separately(capsys, tmp_path):
+    left = tmp_path / "left.txt"    # 128 elements
+    right = tmp_path / "right.txt"  # 128 elements
+    bigger = tmp_path / "z4.txt"    # 256 elements: 65536 cells
+    run_cli(capsys, "export", "--z-order", "2",
+            "--factors", "-1,-1,-1;+1,-1,+1", "--out", str(left))
+    run_cli(capsys, "export", "--z-order", "2",
+            "--factors", "+1,-1,+1;-1,-1,-1", "--out", str(right))
+    run_cli(capsys, "export", "--z-order", "4",
+            "--factors", "-1,-1,-1;+1,-1,+1", "--out", str(bigger))
+    payload = run_json(capsys, "decompose", "--table", str(left), "--n", "3",
+                       "--match-against", str(right), "--max-elements", "16384")
+    assert sorted(payload["match"]["sigma"]) == [0, 1]
+    code, out, err = run_cli(capsys, "decompose", "--table", str(left), "--n", "3",
+                             "--match-against", str(bigger), "--max-elements", "16384")
+    assert code == 3
+    assert err.startswith("error: table parse needs 65536 items")
+
+
 def test_usage_errors_raise_system_exit(capsys):
     with pytest.raises(SystemExit):
         main(["degrees"])  # missing --kind

@@ -1,0 +1,232 @@
+"""The vectorized isomorphism search and the generator ladder against slow oracles.
+
+`reference_find_isomorphism` is the propagating backtracking search that the
+word-program search replaced, and `reference_ladder` the greedy ladder that
+tries every candidate at every step; both are kept here as test-only oracles.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from cdloops import (
+    AbstractLoop,
+    CDLoop,
+    find_isomorphism,
+    make_product,
+    make_scalar_group,
+    to_table,
+    verify_isomorphism,
+)
+from cdloops import abstract_loop
+from cdloops.errors import BudgetExceeded
+
+Z2 = make_scalar_group(2)
+
+
+def reference_ladder(loop: AbstractLoop) -> list[int]:
+    known = loop.closure(())
+    gens: list[int] = []
+    while len(known) < loop.size:
+        best_g, best_closure = -1, known
+        for g in range(loop.size):
+            if g in known:
+                continue
+            grown = loop.closure(list(known) + [g])
+            if len(grown) > len(best_closure):
+                best_g, best_closure = g, grown
+        gens.append(best_g)
+        known = best_closure
+    return gens
+
+
+def reference_find_isomorphism(left: AbstractLoop, right: AbstractLoop):
+    if left.size != right.size:
+        return None
+    sig_left = left._signatures()
+    sig_right = right._signatures()
+    if sorted(sig_left) != sorted(sig_right):
+        return None
+    n = left.size
+    t1 = left.table.tolist()
+    t2 = right.table.tolist()
+    gens = reference_ladder(left)
+    pools = [[h for h in range(n) if sig_right[h] == sig_left[g]] for g in gens]
+    mapping = [-1] * n
+    reverse = [-1] * n
+    known: list[int] = []
+    trail: list[int] = []
+
+    def assign(a: int, b: int) -> bool:
+        queue = [(a, b)]
+        while queue:
+            p, q = queue.pop()
+            if mapping[p] != -1:
+                if mapping[p] != q:
+                    return False
+                continue
+            if reverse[q] != -1:
+                return False
+            mapping[p] = q
+            reverse[q] = p
+            known.append(p)
+            trail.append(p)
+            for c in known:
+                for u, v in ((p, c), (c, p)):
+                    product = t1[u][v]
+                    image = t2[mapping[u]][mapping[v]]
+                    got = mapping[product]
+                    if got == -1:
+                        queue.append((product, image))
+                    elif got != image:
+                        return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            p = trail.pop()
+            known.pop()
+            reverse[mapping[p]] = -1
+            mapping[p] = -1
+
+    if not assign(left.identity, right.identity):
+        return None
+
+    def search(level: int) -> bool:
+        if level == len(gens):
+            return all(v != -1 for v in mapping)
+        g = gens[level]
+        if mapping[g] != -1:
+            return search(level + 1)
+        for h in pools[level]:
+            if reverse[h] != -1:
+                continue
+            mark = len(trail)
+            if assign(g, h) and search(level + 1):
+                return True
+            undo(mark)
+        return False
+
+    return list(mapping) if search(0) else None
+
+
+def fixed_zero_relabel(loop: AbstractLoop, rng: random.Random) -> AbstractLoop:
+    rest = list(range(1, loop.size))
+    rng.shuffle(rest)
+    return loop.relabel([0] + rest)
+
+
+def random_product(rng: random.Random, m: int, n: int, z_order: int):
+    z = make_scalar_group(z_order)
+    loops = [
+        CDLoop(z, tuple(z.scalar(rng.randrange(z_order)) for _ in range(n)))
+        for _ in range(m)
+    ]
+    return make_product(z, loops)
+
+
+N4_Z2 = {
+    gammas: to_table(CDLoop(Z2, tuple(Z2.scalar(g) for g in gammas)))
+    for gammas in itertools.product((0, 1), repeat=4)
+}
+
+
+def test_verdicts_match_the_reference_on_every_n4_z2_pair():
+    equal_signatures_only = 0
+    for a, b in itertools.combinations(N4_Z2, 2):
+        left, right = N4_Z2[a], N4_Z2[b]
+        got = find_isomorphism(left, right)
+        want = reference_find_isomorphism(left, right)
+        assert (got is None) == (want is None), (a, b)
+        if got is not None:
+            assert verify_isomorphism(left, right, got)
+        elif sorted(left._signatures()) == sorted(right._signatures()):
+            equal_signatures_only += 1
+    # The pairs that only an exhaustive search can tell apart.
+    assert equal_signatures_only == 7
+    assert find_isomorphism(N4_Z2[(0, 0, 0, 0)], N4_Z2[(1, 1, 1, 0)]) is None
+
+
+def test_witnesses_on_random_relabelings_are_isomorphisms():
+    rng = random.Random(20240)
+    for gammas in [(1, 1, 1, 1), (0, 1, 0, 1), (1, 1, 1, 0)]:
+        left = N4_Z2[gammas]
+        for _ in range(3):
+            right = fixed_zero_relabel(left, rng)
+            witness = find_isomorphism(left, right)
+            assert witness is not None
+            assert verify_isomorphism(left, right, witness)
+    for dims in [(1, 3, 4), (2, 2, 4), (1, 3, 8), (2, 3, 2)]:
+        left = to_table(random_product(rng, *dims))
+        right = fixed_zero_relabel(left, rng)
+        witness = find_isomorphism(left, right)
+        assert witness is not None
+        assert verify_isomorphism(left, right, witness)
+        assert witness == reference_find_isomorphism(left, right)
+
+
+def test_a_non_isomorphic_relabeled_pair_is_rejected_like_the_reference():
+    rng = random.Random(7)
+    left = N4_Z2[(0, 0, 0, 0)]
+    right = fixed_zero_relabel(N4_Z2[(1, 1, 1, 0)], rng)
+    assert sorted(left._signatures()) == sorted(right._signatures())
+    assert reference_find_isomorphism(left, right) is None
+    assert find_isomorphism(left, right) is None
+
+
+def test_one_candidate_per_block_gives_the_same_answers(monkeypatch):
+    rng = random.Random(11)
+    pairs = [
+        (N4_Z2[(0, 0, 0, 0)], fixed_zero_relabel(N4_Z2[(1, 1, 1, 0)], rng)),
+        (N4_Z2[(1, 1, 1, 1)], fixed_zero_relabel(N4_Z2[(1, 1, 1, 1)], rng)),
+    ]
+    table = to_table(random_product(rng, 2, 3, 2))
+    pairs.append((table, fixed_zero_relabel(table, rng)))
+    expected = [find_isomorphism(left, right) for left, right in pairs]
+    assert expected[0] is None and None not in expected[1:]
+    monkeypatch.setattr(abstract_loop, "_BLOCK_CELLS", 1)
+    for (left, right), want in zip(pairs, expected):
+        fresh = AbstractLoop(left.table, validate=False)
+        assert find_isomorphism(fresh, right) == want
+
+
+def test_trivial_and_guarded_inputs():
+    one = AbstractLoop([[0]])
+    assert find_isomorphism(one, AbstractLoop([[0]])) == [0]
+    z4 = to_table(CDLoop(make_scalar_group(4), ()))
+    assert find_isomorphism(z4, z4) == [0, 1, 2, 3]
+    assert find_isomorphism(z4, N4_Z2[(0, 0, 0, 0)]) is None
+    with pytest.raises(BudgetExceeded):
+        find_isomorphism(N4_Z2[(1, 1, 1, 1)], N4_Z2[(1, 1, 1, 1)], max_size=16)
+
+
+def test_word_program_rebuilds_every_element_from_the_ladder():
+    rng = random.Random(3)
+    loop = fixed_zero_relabel(to_table(random_product(rng, 2, 2, 4)), rng)
+    program = loop._word_program()
+    assert [step.g for step in program] == loop._generator_ladder()
+    known = {loop.identity}
+    for step in program:
+        assert step.g not in known
+        known.add(step.g)
+        for xs, us, vs in step.waves:
+            assert set(us.tolist()) <= known and set(vs.tolist()) <= known
+            assert np.array_equal(loop.table[us, vs], xs)
+            known.update(xs.tolist())
+        assert sorted(known) == step.S.tolist()
+    assert known == set(range(loop.size))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(1, 3, 2), (1, 4, 4), (1, 5, 8), (1, 6, 2), (2, 2, 2), (2, 2, 8), (2, 3, 2), (2, 3, 4)],
+)
+def test_ladder_equals_the_reference_greedy_ladder(dims):
+    rng = random.Random(f"ladder-{dims}")
+    table = to_table(random_product(rng, *dims))
+    assert table.size <= 256
+    for loop in (table, fixed_zero_relabel(table, rng)):
+        fresh = AbstractLoop(loop.table, validate=False)
+        assert fresh._generator_ladder() == reference_ladder(loop)
