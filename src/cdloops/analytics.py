@@ -2,15 +2,15 @@
 
 Brute-force routines enumerate honestly and report exact counts as
 fractions.  Closed-form routines evaluate the matching exact expressions so
-the two can be compared at zero tolerance.  Commutation of two elements
-never depends on their scalar parts (those are central and cancel in the
-commutator), so pairwise surveys run over cosets of Z, read the coset twist
-matrix T, and multiply counts back by |Z|**2: cosets c1, c2 commute exactly
-when T[c1, c2] == T[c2, c1], because T's entries are already reduced.  T
-is unsigned, so surveys that subtract entries upcast to int64 first.
-Associator scalars cancel the same way, but the associativity, Moufang and
-di-associativity surveys still walk full element lists, reading the
-per-loop twist table through twist_exp and caching per-span verdicts.
+the two can be compared at zero tolerance.  Scalars are central, so they
+cancel in every commutator, associator and Moufang word: each survey is a
+statement about cosets of Z, walks masks rather than elements, and
+multiplies counts back by powers of |Z|.  Pairwise surveys read the coset
+twist matrix T: cosets c1, c2 commute exactly when T[c1, c2] == T[c2, c1],
+because T's entries are already reduced.  Associativity, Moufang and
+di-associativity surveys read the loop's dense twist table, whose narrow
+unsigned dtype holds the sum of two entries; surveys that subtract entries
+upcast to int64 first.
 """
 
 from __future__ import annotations
@@ -104,25 +104,26 @@ def associativity_degree_closed(n: int, z_order: int = 2) -> DegreeReport:
 
 
 def pc_limit_table(
-    mode: str, fixed: int, start: int, stop: int
+    mode: str, fixed: int, start: int, stop: int, max_elements: int | None = None
 ) -> list[tuple[int, Fraction]]:
     """Closed-form commutativity degrees along a growing parameter.
 
     mode "grow_n" varies n with m = fixed; mode "grow_m" varies m with
     n = fixed.  Returns (parameter, degree) pairs for start..stop inclusive.
+    Row (m, n) sums m + 1 fractions of about m*n bits, so the budget is
+    charged the sum of (m + 1) * n over all rows before the first is built.
     """
     if mode not in ("grow_n", "grow_m"):
         raise ValueError(f"mode must be grow_n or grow_m, got {mode!r}")
     if start < 1 or stop < start:
         raise ValueError(f"need 1 <= start <= stop, got {start}..{stop}")
-    out = []
-    for value in range(start, stop + 1):
-        if mode == "grow_n":
-            report = commutativity_degree_closed(fixed, value)
-        else:
-            report = commutativity_degree_closed(value, fixed)
-        out.append((value, report.degree))
-    return out
+    values = range(start, stop + 1)
+    shapes = [(fixed, v) if mode == "grow_n" else (v, fixed) for v in values]
+    ensure_budget(sum((m + 1) * n for m, n in shapes), max_elements, "limit table")
+    return [
+        (v, commutativity_degree_closed(m, n).degree)
+        for v, (m, n) in zip(values, shapes)
+    ]
 
 
 # -- brute-force surveys -------------------------------------------------------
@@ -131,9 +132,24 @@ def pc_limit_table(
 def commutant(
     A: CentralProduct, x: ProductElement, max_elements: int | None = None
 ) -> list[ProductElement]:
-    """All y with x*y = y*x, in enumeration order."""
+    """All y with x*y = y*x, in enumeration order.
+
+    Whether y commutes with x depends only on y's coset.  The commutator
+    exponents of x against every coset are the Kronecker sum of per-factor
+    rows t_i(x_i, f) - t_i(f, x_i), read through twist_exp and kept in
+    twist_table's dtype, which holds the sum of two reduced exponents.
+    """
     ensure_budget(A.order, max_elements, "commutant enumeration")
-    return [y for y in A.penumerate(max_elements) if A.pmul(x, y) == A.pmul(y, x)]
+    if x.product != A:
+        raise ValueError("element belongs to a different product")
+    order = A.z.order
+    dtype = np.min_scalar_type(2 * (order - 1))
+    exps = np.zeros(1, dtype=dtype)
+    for d, e in zip(A.factors, x.masks):
+        row = ((d.twist_exp(e, f) - d.twist_exp(f, e)) % order for f in range(1 << d.n))
+        exps = (np.fromiter(row, dtype)[:, None] + exps).ravel() % order
+    cosets = np.flatnonzero(exps == 0)
+    return [A.element_at(s * A.coset_count + int(c)) for s in range(order) for c in cosets]
 
 
 def commutant_coset_sizes(
@@ -163,34 +179,23 @@ def commutativity_degree_brute(
 def rank_census_brute(
     A: CentralProduct, max_elements: int | None = None
 ) -> list[int]:
-    """Histogram of element ranks over the full enumeration."""
-    counts = [0] * (A.m + 1)
-    for x in A.penumerate(max_elements):
-        counts[x.rank] += 1
-    return counts
+    """Histogram of element ranks: combined masks counted by rank, times |Z|."""
+    ensure_budget(A.order, max_elements, "product enumeration")
+    masks = np.arange(A.coset_count)
+    ranks = sum((masks >> (A.n * i)) % (1 << A.n) != 0 for i in range(A.m))
+    return [int(c) * A.z.order for c in np.bincount(ranks, minlength=A.m + 1)]
 
 
 # -- associativity -------------------------------------------------------------
 
 
-def _xor_span(masks: tuple[int, ...]) -> frozenset[int]:
-    span = {0}
-    for mask in masks:
-        span |= {s ^ mask for s in span}
-    return frozenset(span)
+def _associates(t: np.ndarray, order: int, e, f, g) -> np.ndarray:
+    """Whether (b(e)*b(f))*b(g) == b(e)*(b(f)*b(g)), over broadcast index arrays.
 
-
-def _span_is_associative(L: CDLoop, span: frozenset[int]) -> bool:
-    twist = L.twist_exp
-    order = L.z.order
-    for e in span:
-        for f in span:
-            ef = e ^ f
-            head = twist(e, f)
-            for g in span:
-                if (head + twist(ef, g) - twist(f, g) - twist(e, f ^ g)) % order:
-                    return False
-    return True
+    t is a twist table whose index XOR matches mask XOR; each side's
+    exponent is a sum of two entries of t, which t's dtype holds.
+    """
+    return (t[e, f] + t[e ^ f, g]) % order == (t[f, g] + t[e, f ^ g]) % order
 
 
 def generates_group(
@@ -202,37 +207,46 @@ def generates_group(
     the XOR-span of the three input masks, and associators never see the
     scalar parts, so the subloop is associative exactly when every mask
     triple from that span associates.  A finite associative subloop is a
-    group.
+    group.  Span member i is the XOR of the input masks picked by the bits
+    of i, so the span's own 8 x 8 twist table indexes like the dense one.
     """
     for el in (x, y, z):
         if el.loop != L:
             raise ValueError("element belongs to a different loop")
-    return _span_is_associative(L, _xor_span((x.mask, y.mask, z.mask)))
+    span = [0]
+    for mask in (x.mask, y.mask, z.mask):
+        span += [s ^ mask for s in span]
+    table = np.array([[L.twist_exp(a, b) for b in span] for a in span])
+    i = np.arange(8)
+    return bool(_associates(table, L.z.order, i[:, None, None], i[:, None], i).all())
 
 
 def associativity_degree_brute(
     L: CDLoop, max_elements: int | None = None
 ) -> DegreeReport:
-    """Count group-generating triples over the full element list."""
+    """Count group-generating element triples exhaustively.
+
+    A triple's verdict depends only on the XOR span of its masks (see
+    generates_group).  Each coset triple's span, as a sorted row of 8 masks
+    (an r-dimensional span lists each member 2**(3 - r) times), is judged
+    once per distinct row, and the good coset triples are counted times
+    |Z|**3.
+    """
     total = L.order**3
     ensure_budget(total, max_elements, "associativity survey over element triples")
-    masks = [el.mask for el in L.elements(max_elements)]
-    triple_verdict: dict[tuple[int, int, int], bool] = {}
-    span_verdict: dict[frozenset[int], bool] = {}
-    favorable = 0
-    for em in masks:
-        for fm in masks:
-            for gm in masks:
-                key = (em, fm, gm)
-                ok = triple_verdict.get(key)
-                if ok is None:
-                    span = _xor_span(key)
-                    ok = span_verdict.get(span)
-                    if ok is None:
-                        ok = _span_is_associative(L, span)
-                        span_verdict[span] = ok
-                    triple_verdict[key] = ok
-                favorable += ok
+    size = 1 << L.n
+    masks = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    rows = np.zeros((1, 1), dtype=masks.dtype)
+    for _ in range(3):
+        rows = np.repeat(rows, size, axis=0)
+        rows = np.hstack([rows, rows ^ np.tile(masks, len(rows) // size)[:, None]])
+    rows.sort(axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * 8))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    s = rows[first]
+    e, f, g = s[:, :, None, None], s[:, None, :, None], s[:, None, None]
+    ok = _associates(L.twist_table(), L.z.order, e, f, g).all(axis=(1, 2, 3))
+    favorable = int(counts[ok].sum()) * L.z.order**3
     return DegreeReport(
         Fraction(favorable, total), favorable, total, "brute", 1, L.n, L.z.order
     )
@@ -277,31 +291,31 @@ def associator_exponent_image(
 
 
 def is_di_associative(L: CDLoop, max_elements: int | None = None) -> bool:
-    """True iff every 2-generated subloop of L is a group."""
+    """True iff every 2-generated subloop of L is a group: for each coset e,
+    every span {0, e, f, e^f} associates (see generates_group)."""
     ensure_budget(L.order**2, max_elements, "di-associativity survey over pairs")
-    verdicts: dict[frozenset[int], bool] = {}
-    elems = L.elements(max_elements)
-    for x in elems:
-        for y in elems:
-            span = _xor_span((x.mask, y.mask))
-            ok = verdicts.get(span)
-            if ok is None:
-                ok = _span_is_associative(L, span)
-                verdicts[span] = ok
-            if not ok:
-                return False
+    t = L.twist_table()
+    f = np.arange(1 << L.n)
+    for e in range(len(f)):
+        s = np.stack([np.zeros_like(f), np.full_like(f, e), f, f ^ e])
+        if not _associates(t, L.z.order, s[:, None, None], s[:, None], s).all():
+            return False
     return True
 
 
 def moufang_identity_holds(L: CDLoop, max_elements: int | None = None) -> bool:
-    """Exhaustively check ((x*y)*z)*y == x*(y*(z*y))."""
+    """Exhaustively check ((x*y)*z)*y == x*(y*(z*y)).
+
+    Both sides carry the same central scalar parts, so it suffices that
+    t(e,f) + t(e^f,g) + t(e^f^g,f) == t(g,f) + t(f,g^f) + t(e,g) mod |Z|
+    for all masks, checked one coset e at a time.
+    """
     ensure_budget(L.order**3, max_elements, "Moufang survey over element triples")
-    elems = L.elements(max_elements)
-    mul = L.mul
-    for x in elems:
-        for y in elems:
-            xy = mul(x, y)
-            for z in elems:
-                if mul(mul(xy, z), y) != mul(x, mul(y, mul(z, y))):
-                    return False
+    t = L.twist_table().astype(np.int64)
+    f = np.arange(1 << L.n)[:, None]
+    g = f.T
+    for e in range(len(f)):
+        left = t[e, f] + t[e ^ f, g] + t[e ^ f ^ g, f]
+        if ((left - t[g, f] - t[f, g ^ f] - t[e, g]) % L.z.order).any():
+            return False
     return True

@@ -9,9 +9,9 @@ of two basis monomials is the monomial of the XOR'd mask times a scalar
 
 The twist exponents form one dense 2**n x 2**n table per loop, built by
 applying the doubling law one generator at a time to the whole table (see
-twist_table) and cached on the descriptor.  Single products read that table
-while it stays within the default enumeration budget; deeper loops, up to
-MAX_GENERATORS, unroll the same law over the mask bits instead.
+twist_table) and cached on the descriptor; the surveys read it.  Single
+products unroll the same law over the mask bits instead (twist_exp), so
+they cost O(n) at every depth up to MAX_GENERATORS and build no table.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .budget import DEFAULT_MAX_ELEMENTS, ensure_budget
+from .budget import ensure_budget
 from .scalars import Scalar, ScalarGroup
 
 MAX_GENERATORS = 16
@@ -74,11 +74,25 @@ class CDLoop:
     # -- multiplication core ------------------------------------------------
 
     def twist_exp(self, e: int, f: int) -> int:
-        """Exponent of the scalar t(e, f) with b(e)*b(f) = t(e, f)*b(e^f)."""
-        rows = self._twist_rows
-        if rows is None:
-            return self._twist_bits(e, f)
-        return rows[e][f]
+        """Exponent of the scalar t(e, f) with b(e)*b(f) = t(e, f)*b(e^f).
+
+        The doubling law of twist_table, unrolled from the top generator
+        down for one pair of masks, so a single product builds no table.
+        """
+        half = self.z.order // 2
+        exp = 0
+        for level in range(self.n, 0, -1):
+            top = 1 << (level - 1)
+            a, b = e & top, f & top
+            e, f = e & (top - 1), f & (top - 1)
+            if a:
+                if f:
+                    exp += half
+                if b:
+                    exp += self.gammas[level - 1].exponent
+            if b:
+                e, f = f, e
+        return exp % self.z.order
 
     def twist_table(self) -> np.ndarray:
         """Dense read-only table of twist_exp(e, f), built once per descriptor.
@@ -108,32 +122,6 @@ class CDLoop:
             )
         table.flags.writeable = False
         return table
-
-    @cached_property
-    def _twist_rows(self) -> list[list[int]] | None:
-        # Python rows keep element-level walks at list-indexing speed; past
-        # the default budget no dense table is built and the bit loop serves.
-        if 4**self.n > DEFAULT_MAX_ELEMENTS:
-            return None
-        return self.twist_table().tolist()
-
-    def _twist_bits(self, e: int, f: int) -> int:
-        # The doubling law of twist_table, unrolled from the top generator
-        # down for one pair of masks.
-        half = self.z.order // 2
-        exp = 0
-        for level in range(self.n, 0, -1):
-            top = 1 << (level - 1)
-            a, b = e & top, f & top
-            e, f = e & (top - 1), f & (top - 1)
-            if a:
-                if f:
-                    exp += half
-                if b:
-                    exp += self.gammas[level - 1].exponent
-            if b:
-                e, f = f, e
-        return exp % self.z.order
 
     def twist(self, e: int, f: int) -> Scalar:
         self._check_mask(e)

@@ -185,7 +185,9 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    rows = pc_limit_table(args.mode, args.fixed, args.start, args.stop)
+    rows = pc_limit_table(
+        args.mode, args.fixed, args.start, args.stop, args.max_elements
+    )
     payload = {
         "mode": args.mode,
         "fixed": args.fixed,

@@ -59,29 +59,35 @@ def infer_parameters(loop: AbstractLoop, n: int) -> tuple[int, int]:
     return m, z_size
 
 
-def _rank_lookup(n: int, m: int, size: int) -> dict[int, int]:
-    """Map commutant size to rank; sizes are b_k * size and never collide."""
-    table: dict[int, int] = {}
+def _ranks(loop: AbstractLoop, n: int, m: int, elements) -> list[int]:
+    """Ranks of the given elements, read off their commutant sizes.
+
+    An element of rank k commutes with b_k * |L| elements, and for n >= 3
+    those sizes never collide.
+    """
+    lookup: dict[int, int] = {}
     for k in range(m + 1):
-        count = b_k_closed(n, k) * size
+        count = b_k_closed(n, k) * loop.size
         assert count.denominator == 1
-        table[int(count)] = k
-    return table
+        lookup[int(count)] = k
+    counts = loop.commutant_sizes()
+    ranks = []
+    for x in elements:
+        rank = lookup.get(counts[x])
+        if rank is None:
+            raise DecompositionError(
+                f"element {x} commutes with {counts[x]} of {loop.size} elements, "
+                f"a ratio {Fraction(counts[x], loop.size)} matching no rank "
+                f"0..{m}: table is not a central product of Cayley-Dickson loops"
+            )
+        ranks.append(rank)
+    return ranks
 
 
 def rank_of(loop: AbstractLoop, x: int, n: int) -> int:
     """Rank of element x read off its commutant size."""
     m, _ = infer_parameters(loop, n)
-    lookup = _rank_lookup(n, m, loop.size)
-    count = loop.commutant_sizes()[x]
-    rank = lookup.get(count)
-    if rank is None:
-        raise DecompositionError(
-            f"element {x} commutes with {count} of {loop.size} elements, a ratio "
-            f"{Fraction(count, loop.size)} matching no rank 0..{m}: table is not "
-            "a central product of Cayley-Dickson loops"
-        )
-    return rank
+    return _ranks(loop, n, m, [x])[0]
 
 
 @dataclass
@@ -116,18 +122,7 @@ def recover_factors(
     if pivot_order not in ("ascending", "descending"):
         raise ValueError(f"pivot_order must be ascending or descending, got {pivot_order!r}")
     m, z_size = infer_parameters(loop, n)
-    lookup = _rank_lookup(n, m, loop.size)
-    counts = loop.commutant_sizes()
-    ranks = []
-    for x, count in enumerate(counts):
-        rank = lookup.get(count)
-        if rank is None:
-            raise DecompositionError(
-                f"element {x} commutes with {count} of {loop.size} elements, "
-                f"matching no rank 0..{m}: table is not a central product of "
-                "Cayley-Dickson loops"
-            )
-        ranks.append(rank)
+    ranks = _ranks(loop, n, m, range(loop.size))
     center = loop.center()
     table = loop.table
     expected_size = (1 << n) * z_size

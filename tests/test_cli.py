@@ -110,6 +110,30 @@ def test_limits(capsys):
     assert [row["m"] for row in payload["rows"]] == [1, 2, 3]
 
 
+def test_limits_admits_long_rows_under_the_default_budget(capsys):
+    # sum of 3 * n over n = 1..600 is 541800 items, inside 2**20
+    payload = run_json(
+        capsys, "limits", "--mode", "grow_n", "--fixed", "2", "--start", "1", "--stop", "600"
+    )
+    assert [row["n"] for row in payload["rows"]] == list(range(1, 601))
+
+
+def test_limits_charges_its_rows_before_building_them(capsys):
+    # sum of (m + 1) * 4 over m = 1..800 is 1284800 items, beyond 2**20
+    code, out, err = run_cli(
+        capsys, "limits", "--mode", "grow_m", "--fixed", "4", "--start", "1", "--stop", "800"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: limit table needs 1284800 items")
+    assert err.count("\n") == 1
+    code, out, err = run_cli(
+        capsys, "limits", "--mode", "grow_n", "--fixed", "2", "--start", "2", "--stop", "5",
+        "--max-elements", "41",
+    )
+    assert code == 3
+    assert err.startswith("error: limit table needs 42 items")
+
+
 def test_export_import_round_trip(capsys, tmp_path):
     table = tmp_path / "q8.txt"
     code, out, err = run_cli(

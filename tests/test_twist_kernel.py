@@ -65,7 +65,6 @@ def test_twist_table_bit_loop_and_twist_exp_match_the_recursion(order):
                 for f in range(size):
                     expected = reference_twist(L, n, e, f)
                     assert table[e, f] == expected, (L.describe(), e, f)
-                    assert L._twist_bits(e, f) == expected, (L.describe(), e, f)
                     assert L.twist_exp(e, f) == expected, (L.describe(), e, f)
 
 
