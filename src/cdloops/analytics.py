@@ -148,8 +148,7 @@ def commutant(
     for d, e in zip(A.factors, x.masks):
         row = ((d.twist_exp(e, f) - d.twist_exp(f, e)) % order for f in range(1 << d.n))
         exps = (np.fromiter(row, dtype)[:, None] + exps).ravel() % order
-    cosets = np.flatnonzero(exps == 0)
-    return [A.element_at(s * A.coset_count + int(c)) for s in range(order) for c in cosets]
+    return A._coset_elements(np.flatnonzero(exps == 0))
 
 
 def commutant_coset_sizes(

@@ -120,9 +120,25 @@ class CentralProduct:
     def penumerate(self, max_elements: int | None = None) -> list["ProductElement"]:
         """All elements, scalar-major then combined mask (factor 1 in low bits)."""
         ensure_budget(self.order, max_elements, "product enumeration")
-        return [
-            self.element_at(i) for i in range(self.order)
-        ]
+        return self._coset_elements(np.arange(self.coset_count))
+
+    def _coset_elements(self, cosets: np.ndarray) -> list["ProductElement"]:
+        """Every element over the given in-range combined masks, scalar-major.
+
+        Elements skip ProductElement's checks, which the product's own
+        scalars and split masks pass by construction: the checks cost
+        several times the object, and commutant returns up to |A| elements.
+        """
+        split = cosets[:, None] >> self.n * np.arange(self.m) & (1 << self.n) - 1
+        masks = list(map(tuple, split.tolist()))
+        elements = []
+        for scalar in self.z.elements():
+            for mask in masks:
+                x = object.__new__(ProductElement)
+                fields = x.__dict__
+                fields["product"], fields["scalar"], fields["masks"] = self, scalar, mask
+                elements.append(x)
+        return elements
 
     def combined_mask(self, x: "ProductElement") -> int:
         n = self.n

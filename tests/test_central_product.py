@@ -115,6 +115,7 @@ def test_enumeration_and_index_round_trip():
     for i, x in enumerate(elems):
         assert A2.element_index(x) == i
         assert A2.element_at(i) == x
+        assert hash(A2.element_at(i)) == hash(x)
     with pytest.raises(ValueError):
         A2.element_at(128)
     with pytest.raises(ValueError):

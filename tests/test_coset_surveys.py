@@ -74,6 +74,21 @@ def associativity_count_oracle(L: CDLoop) -> int:
     return favorable
 
 
+def span_count_oracle(L: CDLoop) -> int:
+    """associativity_count_oracle over coset triples, times |Z|**3."""
+    verdicts: dict = {}
+    favorable = 0
+    masks = range(1 << L.n)
+    for e in masks:
+        for f in masks:
+            for g in masks:
+                span = xor_span((e, f, g))
+                if span not in verdicts:
+                    verdicts[span] = span_is_associative(L, span)
+                favorable += verdicts[span]
+    return favorable * L.z.order**3
+
+
 def di_associative_oracle(L: CDLoop) -> bool:
     verdicts: dict = {}
     elems = L.elements()
@@ -146,6 +161,12 @@ def test_associativity_degree_matches_the_element_walk(order):
         report = associativity_degree_brute(L)
         assert report.total == L.order**3
         assert report.favorable == associativity_count_oracle(L), L.describe()
+
+
+@pytest.mark.parametrize("order, n", [(2, 4), (4, 4), (6, 4), (2, 5)])
+def test_associativity_degree_matches_the_coset_span_walk(order, n):
+    L = random_loop(random.Random(45 + order + n), order, n)
+    assert associativity_degree_brute(L).favorable == span_count_oracle(L), L.describe()
 
 
 @pytest.mark.parametrize("order", ORDERS)
