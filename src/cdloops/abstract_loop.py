@@ -57,7 +57,7 @@ class AbstractLoop:
         self._commutant_counts: np.ndarray | None = None
         self._signature_cache: list[tuple[int, int, int]] | None = None
         self._ladder_cache: list[int] | None = None
-        self._program_cache: list[_Step | None] | None = None
+        self._program_cache: list[_Step] | None = None
 
     # -- validation ------------------------------------------------------------
 
@@ -109,20 +109,22 @@ class AbstractLoop:
     # -- structure ----------------------------------------------------------------
 
     def center(self) -> list[int]:
-        """Indices commuting and associating (in all three slots) with everything."""
+        """Indices commuting and associating (in all three slots) with everything.
+
+        For an x that commutes with everything, put P = (ax)b, Q = (ab)x and
+        R = a(bx): the left, middle and right nucleus laws read P = Q, P = R
+        and Q = R, so any two imply the third.  Only the left law
+        (xa)b = x(ab) and the middle law (xa)b = a(xb) are checked.
+        """
         if self._center is None:
             arr = self.table
+            comm = np.array(self.commutant_sizes())
             out = []
-            for x in np.flatnonzero((arr == arr.T).all(axis=1)):
+            for x in np.flatnonzero(comm == self.size):
                 fx = arr[x]
-                cx = arr[:, x]
-                if not np.array_equal(arr[fx], arr[x, arr]):
-                    continue
-                if not np.array_equal(arr[cx], arr[:, fx]):
-                    continue
-                if not np.array_equal(arr[arr, x], arr[:, cx]):
-                    continue
-                out.append(int(x))
+                xa_b = arr[fx]
+                if np.array_equal(xa_b, fx[arr]) and np.array_equal(xa_b, arr[:, fx]):
+                    out.append(int(x))
             self._center = out
         return list(self._center)
 
@@ -170,13 +172,8 @@ class AbstractLoop:
         lut[idx] = np.arange(len(idx))
         sub = lut[self.table[np.ix_(idx, idx)]]
         if (sub < 0).any():
-            inside = set(idx)
-            for a in idx:
-                for b in idx:
-                    if self.mul(a, b) not in inside:
-                        raise ValueError(
-                            f"subset is not closed: {a} * {b} = {self.mul(a, b)}"
-                        )
+            a, b = (idx[k] for k in np.argwhere(sub < 0)[0])
+            raise ValueError(f"subset is not closed: {a} * {b} = {self.mul(a, b)}")
         return AbstractLoop(sub, validate=False)
 
     def relabel(self, perm) -> "AbstractLoop":
@@ -228,23 +225,20 @@ class AbstractLoop:
             self._ladder_cache = gens
         return list(self._ladder_cache)
 
-    def _word_program(self) -> list[_Step | None]:
+    def _word_program(self) -> list[_Step]:
         """The ladder as words: how each element is reached from the generators.
 
-        One step per ladder generator g, or None if g already lies in the
-        closure of the generators before it.  A step adds g, then closes the
-        set in waves; each wave is (xs, us, vs) with xs[i] = us[i] * vs[i]
+        One step per ladder generator g; the ladder never picks a g inside
+        the closure of the generators before it.  A step adds g, then closes
+        the set in waves; each wave is (xs, us, vs) with xs[i] = us[i] * vs[i]
         for us, vs already in the set.
         """
         if self._program_cache is None:
             arr = self.table
             inside = np.zeros(self.size, dtype=bool)
             inside[self.identity] = True
-            program: list[_Step | None] = []
+            program: list[_Step] = []
             for g in self._generator_ladder():
-                if inside[g]:
-                    program.append(None)
-                    continue
                 inside[g] = True
                 waves = []
                 while True:
@@ -349,6 +343,8 @@ def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop
             rows.append(np.fromiter(map(int, parts), dtype=np.int64, count=n))
         except ValueError:
             raise TableFormatError(f"row {i} contains a non-integer entry") from None
+        except OverflowError:
+            raise TableFormatError(f"row {i} has an entry outside 0..{n - 1}") from None
     loop = AbstractLoop(np.vstack(rows))
     if loop.identity != 0:
         perm = list(range(loop.size))
@@ -391,12 +387,14 @@ def find_isomorphism(
 
     Elements are classed by (left-power order, commutant size, count of
     associating pairs).  The search walks left's word program one ladder
-    generator g at a time.  At each node, every unused right element in g's
-    class is tried as g's image at once: the level's words give the images
-    of everything g adds, and a candidate row survives only if those images
-    are distinct, unused and in matching classes, and products over
-    new x S and S x new are preserved (pairs inside the old S passed at
-    earlier levels).  Each test is necessary for an isomorphism, so the
+    generator g at a time.  At each node, every right element in g's class
+    is tried as g's image at once: the level's words give the images of
+    everything g adds, and a candidate row survives only if those images
+    are in matching classes and products over new x S and S x new are
+    preserved (pairs inside the old S passed at earlier levels).  Injectivity
+    follows: a surviving row is a homomorphism on S, and if phi(a) = phi(b)
+    then the x in S with a * x = b has phi(x) = e, so x has order 1 like e
+    and is the identity.  Each test is necessary for an isomorphism, so the
     search is exhaustive: None means none exists.  Any witness found is
     re-verified over the full table.
     """
@@ -421,16 +419,13 @@ def find_isomorphism(
     t2 = right.table
     program = left._word_program()
 
-    def survivors(step: _Step, row: np.ndarray, used: np.ndarray, cands: np.ndarray):
+    def survivors(step: _Step, row: np.ndarray, cands: np.ndarray):
         C = np.repeat(row[None, :], cands.size, axis=0)
         C[:, step.g] = cands
         for xs, us, vs in step.waves:
             C[:, xs] = t2[C[:, us], C[:, vs]]
         img = C[:, step.new]
         ok = (cls_right[img] == cls_left[step.new]).all(axis=1)
-        ok &= ~used[img].any(axis=1)
-        ranked = np.sort(img, axis=1)
-        ok &= (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)
         C, img = C[ok], img[ok]
         img_S = C[:, step.S]
         # A wrong image breaks most products, so a few rows of new reject
@@ -443,30 +438,24 @@ def find_isomorphism(
             C, img, img_S = C[ok], img[ok], img_S[ok]
         return C
 
-    def search(level: int, row: np.ndarray, used: np.ndarray) -> np.ndarray | None:
+    def search(level: int, row: np.ndarray) -> np.ndarray | None:
         if level == len(program):
             return row
         step = program[level]
-        if step is None:
-            return search(level + 1, row, used)
-        cands = np.flatnonzero((cls_right == cls_left[step.g]) & ~used)
+        cands = np.flatnonzero(cls_right == cls_left[step.g])
         # Candidate rows per block, so that the (rows, |new|, |S|)
         # temporaries stay within _BLOCK_CELLS cells.
         block = max(1, _BLOCK_CELLS // (step.new.size * step.S.size))
         for lo in range(0, cands.size, block):
-            for nxt in survivors(step, row, used, cands[lo:lo + block]):
-                now_used = used.copy()
-                now_used[nxt[step.new]] = True
-                found = search(level + 1, nxt, now_used)
+            for nxt in survivors(step, row, cands[lo:lo + block]):
+                found = search(level + 1, nxt)
                 if found is not None:
                     return found
         return None
 
     row = np.full(n, -1, dtype=np.int64)
     row[left.identity] = right.identity
-    used = np.zeros(n, dtype=bool)
-    used[right.identity] = True
-    found = search(0, row, used)
+    found = search(0, row)
     if found is None:
         return None
     mapping = found.tolist()

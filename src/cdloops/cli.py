@@ -9,6 +9,7 @@ input, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -281,16 +282,7 @@ def _cmd_verify(args) -> int:
     print(report.render_text(), file=sys.stderr)
     _emit(
         {
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "source": c.source,
-                }
-                for c in report.checks
-            ],
+            "checks": [dataclasses.asdict(c) for c in report.checks],
             "summary": {
                 "pass": report.count("pass"),
                 "fail": report.count("fail"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from cdloops import (
     verify_isomorphism,
 )
 from cdloops.errors import BudgetExceeded
+from cdloops.verify import _dihedral_table
 
 Z2 = make_scalar_group(2)
 Z4 = make_scalar_group(4)
@@ -40,6 +42,67 @@ def test_quaternion_table_shape_and_center():
     assert Q8.identity == 0
     assert Q8.center() == [0, 4]
     assert O16.center() == [0, 8]
+
+
+def three_law_center(loop: AbstractLoop) -> list[int]:
+    """Test-only oracle: the center scan that checks all three nucleus laws."""
+    arr = loop.table
+    out = []
+    for x in np.flatnonzero((arr == arr.T).all(axis=1)):
+        fx, cx = arr[x], arr[:, x]
+        if (
+            np.array_equal(arr[fx], arr[x, arr])
+            and np.array_equal(arr[cx], arr[:, fx])
+            and np.array_equal(arr[arr, x], arr[:, cx])
+        ):
+            out.append(int(x))
+    return out
+
+
+# Commutative, identity 0; elements 3 and 5 satisfy the middle nucleus law
+# (ax)b = a(xb) but not the left one, so a center without the left law
+# would return [0, 3, 5].
+MIDDLE_ONLY = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 3, 0, 2, 5, 4],
+    [2, 0, 5, 4, 3, 1],
+    [3, 2, 4, 5, 1, 0],
+    [4, 5, 3, 1, 0, 2],
+    [5, 4, 1, 0, 2, 3],
+]
+# Not commutative, identity 0; elements 1 and 2 commute with everything and
+# satisfy the left nucleus law (xa)b = x(ab) but not the middle one, so a
+# center without the middle law would return [0, 1, 2].  (In a commutative
+# loop the left law implies the middle law, so MIDDLE_ONLY cannot show this.)
+LEFT_ONLY = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 4, 5, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 4, 5, 0, 2, 1],
+    [4, 5, 3, 1, 0, 2],
+    [5, 3, 4, 2, 1, 0],
+]
+
+
+def test_center_matches_the_three_law_oracle():
+    loops = [
+        to_table(CDLoop(Z2, tuple(Z2.scalar(g) for g in gammas)))
+        for gammas in itertools.product((0, 1), repeat=4)
+    ]
+    rng = random.Random(5)
+    for k in (2, 4, 6):
+        z = make_scalar_group(k)
+        factors = [
+            CDLoop(z, tuple(z.scalar(rng.randrange(k)) for _ in range(3))) for _ in range(2)
+        ]
+        table = to_table(make_product(z, factors))
+        shuffled, _ = random_relabel(table, rng)
+        assert len(shuffled.center()) == len(table.center()) >= k
+        loops += [table, shuffled]
+    loops += [AbstractLoop(_dihedral_table(r)) for r in range(3, 9)]
+    loops += [AbstractLoop(MIDDLE_ONLY), AbstractLoop(LEFT_ONLY)]
+    for loop in loops:
+        assert loop.center() == three_law_center(loop)
 
 
 def test_element_orders_distinguish_gamma_signs():
@@ -82,7 +145,7 @@ def test_subloop_extraction_and_diagnostic():
     sub = Q8.subloop([0, 1, 4, 5])
     assert sub.size == 4
     assert sorted(sub.element_orders()) == [1, 2, 4, 4]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"subset is not closed: 1 \* 1 = 4"):
         Q8.subloop([0, 1])
 
 
@@ -124,6 +187,9 @@ def test_parse_diagnostics():
         parse_loop_table("loop-table v1 2\n0 1\n1 x\n")
     with pytest.raises(TableFormatError, match="3 entries"):
         parse_loop_table("loop-table v1 2\n0 1 1\n1 0\n")
+    for entry in (2**70, -(2**70)):
+        with pytest.raises(TableFormatError, match="row 1 has an entry outside 0..1"):
+            parse_loop_table(f"loop-table v1 2\n0 1\n1 {entry}\n")
 
 
 def test_parse_charges_the_header_size_before_reading_rows():
