@@ -30,7 +30,7 @@ from .analytics import (
     two_factor_commutativity_closed,
 )
 from .budget import DEFAULT_MAX_ELEMENTS, resolve_max_elements
-from .cdloop import CDLoop, LoopElement
+from .cdloop import CDLoop
 from .central_product import (
     CentralProduct,
     ProductElement,
@@ -61,7 +61,6 @@ __all__ = [
     "DecompositionError",
     "DegreeReport",
     "DEFAULT_MAX_ELEMENTS",
-    "LoopElement",
     "ProductElement",
     "Scalar",
     "ScalarGroup",

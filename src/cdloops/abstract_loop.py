@@ -283,7 +283,7 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
     identity always lands at index 0.
     """
     if isinstance(obj, CDLoop):
-        A = CentralProduct(obj.z, (obj,))
+        A = obj.product
     elif isinstance(obj, CentralProduct):
         A = obj
     else:
@@ -325,10 +325,9 @@ def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop
         raise TableFormatError(
             f"expected header 'loop-table v1 N', got {lines[0]!r}"
         )
-    try:
-        n = int(header[2])
-    except ValueError:
-        raise TableFormatError(f"invalid size in header: {header[2]!r}") from None
+    if not (header[2].isascii() and header[2].isdigit()):
+        raise TableFormatError(f"invalid size in header: {header[2]!r}")
+    n = int(header[2])
     if n < 1:
         raise TableFormatError(f"size must be positive, got {n}")
     ensure_budget(n * n, max_elements, "table parse")
@@ -339,12 +338,17 @@ def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop
         parts = line.split()
         if len(parts) != n:
             raise TableFormatError(f"row {i} has {len(parts)} entries, expected {n}")
+        # int() would also read signs, digit separators and non-ASCII digits.
+        if not line.isascii() or "+" in line or "_" in line:
+            raise TableFormatError(f"row {i} contains a non-integer entry")
         try:
             rows.append(np.fromiter(map(int, parts), dtype=np.int64, count=n))
         except ValueError:
             raise TableFormatError(f"row {i} contains a non-integer entry") from None
         except OverflowError:
             raise TableFormatError(f"row {i} has an entry outside 0..{n - 1}") from None
+    if not text.isascii():
+        raise TableFormatError("table has non-ASCII whitespace or line breaks")
     loop = AbstractLoop(np.vstack(rows))
     if loop.identity != 0:
         perm = list(range(loop.size))

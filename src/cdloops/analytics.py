@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .budget import ensure_budget
-from .cdloop import CDLoop, LoopElement
+from .cdloop import CDLoop
 from .central_product import CentralProduct, ProductElement, coset_twist_matrix
 
 
@@ -198,7 +198,7 @@ def _associates(t: np.ndarray, order: int, e, f, g) -> np.ndarray:
 
 
 def generates_group(
-    L: CDLoop, x: LoopElement, y: LoopElement, z: LoopElement
+    L: CDLoop, x: ProductElement, y: ProductElement, z: ProductElement
 ) -> bool:
     """True iff the subloop generated by {x, y, z} is a group.
 
@@ -210,7 +210,7 @@ def generates_group(
     of i, so the span's own 8 x 8 twist table indexes like the dense one.
     """
     for el in (x, y, z):
-        if el.loop != L:
+        if el.product != L.product:
             raise ValueError("element belongs to a different loop")
     span = [0]
     for mask in (x.mask, y.mask, z.mask):
@@ -229,10 +229,10 @@ def associativity_degree_brute(
     generates_group).  Each coset triple's span, as a sorted row of 8 masks
     (an r-dimensional span lists each member 2**(3 - r) times), is judged
     once per distinct row, and the good coset triples are counted times
-    |Z|**3.
+    |Z|**3.  The budget is charged the 8**n coset triples.
     """
+    ensure_budget(8**L.n, max_elements, "associativity survey over coset triples")
     total = L.order**3
-    ensure_budget(total, max_elements, "associativity survey over element triples")
     size = 1 << L.n
     masks = np.arange(size, dtype=np.min_scalar_type(size - 1))
     rows = np.zeros((1, 1), dtype=masks.dtype)
@@ -292,7 +292,7 @@ def associator_exponent_image(
 def is_di_associative(L: CDLoop, max_elements: int | None = None) -> bool:
     """True iff every 2-generated subloop of L is a group: for each coset e,
     every span {0, e, f, e^f} associates (see generates_group)."""
-    ensure_budget(L.order**2, max_elements, "di-associativity survey over pairs")
+    ensure_budget(4**L.n, max_elements, "di-associativity survey over coset pairs")
     t = L.twist_table()
     f = np.arange(1 << L.n)
     for e in range(len(f)):
@@ -309,7 +309,7 @@ def moufang_identity_holds(L: CDLoop, max_elements: int | None = None) -> bool:
     t(e,f) + t(e^f,g) + t(e^f^g,f) == t(g,f) + t(f,g^f) + t(e,g) mod |Z|
     for all masks, checked one coset e at a time.
     """
-    ensure_budget(L.order**3, max_elements, "Moufang survey over element triples")
+    ensure_budget(8**L.n, max_elements, "Moufang survey over coset triples")
     t = L.twist_table().astype(np.int64)
     f = np.arange(1 << L.n)[:, None]
     g = f.T

@@ -12,6 +12,12 @@ applying the doubling law one generator at a time to the whole table (see
 twist_table) and cached on the descriptor; the surveys read it.  Single
 products unroll the same law over the mask bits instead (twist_exp), so
 they cost O(n) at every depth up to MAX_GENERATORS and build no table.
+
+A loop is the one-factor central product of itself: its elements are
+ProductElements of L.product, and L.mul, L.inv, L.commutator,
+L.associator and L.elements are views onto that product's arithmetic and
+enumeration.  CDLoop keeps the descriptor and what belongs to one doubled
+loop alone: the twist and the doubling involution conj.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .budget import ensure_budget
+from .central_product import CentralProduct, ProductElement
 from .scalars import Scalar, ScalarGroup
 
 MAX_GENERATORS = 16
@@ -58,20 +64,25 @@ class CDLoop:
     def order(self) -> int:
         return (1 << self.n) * self.z.order
 
-    @property
-    def identity(self) -> "LoopElement":
-        return LoopElement(self, self.z.one, 0)
+    @cached_property
+    def product(self) -> CentralProduct:
+        """This loop as the one-factor central product that holds its elements."""
+        return CentralProduct(self.z, (self,))
 
-    def generator(self, i: int) -> "LoopElement":
+    @property
+    def identity(self) -> ProductElement:
+        return self.product.identity
+
+    def generator(self, i: int) -> ProductElement:
         """l_i, 1-based."""
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
-        return LoopElement(self, self.z.one, 1 << (i - 1))
+        return self.element(self.z.one, 1 << (i - 1))
 
-    def element(self, scalar: Scalar, mask: int) -> "LoopElement":
-        return LoopElement(self, scalar, mask)
+    def element(self, scalar: Scalar, mask: int) -> ProductElement:
+        return self.product.element(scalar, (mask,))
 
-    # -- multiplication core ------------------------------------------------
+    # -- twist kernel ---------------------------------------------------------
 
     def twist_exp(self, e: int, f: int) -> int:
         """Exponent of the scalar t(e, f) with b(e)*b(f) = t(e, f)*b(e^f).
@@ -128,46 +139,32 @@ class CDLoop:
         self._check_mask(f)
         return Scalar(self.z, self.twist_exp(e, f))
 
-    def mul(self, x: "LoopElement", y: "LoopElement") -> "LoopElement":
-        self._check_member(x)
-        self._check_member(y)
-        exp = (
-            x.scalar.exponent + y.scalar.exponent + self.twist_exp(x.mask, y.mask)
-        ) % self.z.order
-        return LoopElement(self, Scalar(self.z, exp), x.mask ^ y.mask)
+    # -- element arithmetic: views onto the one-factor product ----------------
 
-    def conj(self, x: "LoopElement") -> "LoopElement":
-        """The doubling involution: fixes scalars, negates every other monomial."""
-        self._check_member(x)
-        if x.mask == 0:
-            return x
-        return LoopElement(self, -x.scalar, x.mask)
+    def mul(self, x: ProductElement, y: ProductElement) -> ProductElement:
+        return self.product.pmul(x, y)
 
-    def inv(self, x: "LoopElement") -> "LoopElement":
-        self._check_member(x)
-        exp = (-x.scalar.exponent - self.twist_exp(x.mask, x.mask)) % self.z.order
-        return LoopElement(self, Scalar(self.z, exp), x.mask)
+    def inv(self, x: ProductElement) -> ProductElement:
+        return self.product.pinv(x)
 
-    def commutator(self, x: "LoopElement", y: "LoopElement") -> "LoopElement":
-        """The unique c with x*y = c*(y*x); lands in {1, -1}."""
-        return self.mul(self.mul(x, y), self.inv(self.mul(y, x)))
+    def commutator(self, x: ProductElement, y: ProductElement) -> ProductElement:
+        return self.product.pcommutator(x, y)
 
     def associator(
-        self, x: "LoopElement", y: "LoopElement", z: "LoopElement"
-    ) -> "LoopElement":
-        """The unique c with (x*y)*z = c*(x*(y*z)); lands in {1, -1}."""
-        left = self.mul(self.mul(x, y), z)
-        right = self.mul(x, self.mul(y, z))
-        return self.mul(left, self.inv(right))
+        self, x: ProductElement, y: ProductElement, z: ProductElement
+    ) -> ProductElement:
+        return self.product.passociator(x, y, z)
 
-    def elements(self, max_elements: int | None = None) -> list["LoopElement"]:
-        """All 2**n * |Z| elements, scalar-major then mask."""
-        ensure_budget(self.order, max_elements, "loop enumeration")
-        return [
-            LoopElement(self, Scalar(self.z, k), mask)
-            for k in range(self.z.order)
-            for mask in range(1 << self.n)
-        ]
+    def elements(self, max_elements: int | None = None) -> list[ProductElement]:
+        return self.product.penumerate(max_elements)
+
+    def conj(self, x: ProductElement) -> ProductElement:
+        """The doubling involution: fixes scalars, negates every other monomial."""
+        A = self.product
+        A._check_member(x)
+        if x.is_scalar:
+            return x
+        return A._result(x.scalar.exponent + self.z.order // 2, x.masks)
 
     # -- helpers -------------------------------------------------------------
 
@@ -175,48 +172,6 @@ class CDLoop:
         if not 0 <= e < (1 << self.n):
             raise ValueError(f"mask {e:#x} does not fit in {self.n} bits")
 
-    def _check_member(self, x: "LoopElement") -> None:
-        if x.loop is not self and x.loop != self:
-            raise ValueError("element belongs to a different loop")
-
     def describe(self) -> str:
         gammas = ",".join(self.z.format(g) for g in self.gammas)
         return f"({gammas})_Z{self.z.order}"
-
-
-@dataclass(frozen=True)
-class LoopElement:
-    """One monomial scalar * l^mask of a Cayley-Dickson loop."""
-
-    loop: CDLoop
-    scalar: Scalar
-    mask: int
-
-    def __post_init__(self):
-        if self.scalar.group != self.loop.z:
-            raise ValueError("scalar belongs to a different group")
-        if not 0 <= self.mask < (1 << self.loop.n):
-            raise ValueError(f"mask {self.mask:#x} does not fit in {self.loop.n} bits")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.mask == 0
-
-    def __mul__(self, other: "LoopElement") -> "LoopElement":
-        return self.loop.mul(self, other)
-
-    def inv(self) -> "LoopElement":
-        return self.loop.inv(self)
-
-    def conj(self) -> "LoopElement":
-        return self.loop.conj(self)
-
-    def __str__(self) -> str:
-        monomial = "".join(
-            f"l{i + 1}" for i in range(self.loop.n) if self.mask >> i & 1
-        )
-        if not monomial:
-            return str(self.scalar)
-        if self.scalar.is_one:
-            return monomial
-        return f"{self.scalar}*{monomial}"

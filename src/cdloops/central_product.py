@@ -8,17 +8,26 @@ Factors multiply independently, so the product of two canonical forms
 multiplies the global scalars by every per-factor twist.  Over cosets of Z
 those twists add up to the Kronecker sum of the factors' dense twist
 tables, which coset_twist_matrix builds in one broadcast per factor.
+
+A single Cayley-Dickson loop is the one-factor case (CDLoop.product), so
+ProductElement is the library's only element type and pmul, pinv,
+pcommutator and passociator its only arithmetic.  Factors are duck-typed
+descriptors: this module reads their z, n, twist_exp and twist_table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .budget import ensure_budget
-from .cdloop import CDLoop, LoopElement
 from .scalars import Scalar, ScalarGroup
+
+if TYPE_CHECKING:
+    from .cdloop import CDLoop
 
 
 @dataclass(frozen=True)
@@ -74,22 +83,35 @@ class CentralProduct:
         exp = x.scalar.exponent + y.scalar.exponent
         for d, e, f in zip(self.factors, x.masks, y.masks):
             exp += d.twist_exp(e, f)
-        masks = tuple(e ^ f for e, f in zip(x.masks, y.masks))
-        return ProductElement(self, Scalar(self.z, exp % self.z.order), masks)
+        return self._result(exp, tuple(map(xor, x.masks, y.masks)))
 
     def pinv(self, x: "ProductElement") -> "ProductElement":
         self._check_member(x)
         exp = -x.scalar.exponent
         for d, e in zip(self.factors, x.masks):
             exp -= d.twist_exp(e, e)
-        return ProductElement(self, Scalar(self.z, exp % self.z.order), x.masks)
+        return self._result(exp, x.masks)
+
+    def _result(self, exp: int, masks: tuple[int, ...]) -> "ProductElement":
+        """The element (exp mod |Z|, masks), skipping ProductElement's checks.
+
+        Callers pass members' masks or their XORs, which are in range by
+        construction; the checks would cost more than the arithmetic.
+        """
+        x = object.__new__(ProductElement)
+        fields = x.__dict__
+        fields["product"], fields["masks"] = self, masks
+        fields["scalar"] = Scalar(self.z, exp % self.z.order)
+        return x
 
     def pcommutator(self, x: "ProductElement", y: "ProductElement") -> "ProductElement":
+        """The unique c with x*y = c*(y*x); lands in {1, -1}."""
         return self.pmul(self.pmul(x, y), self.pinv(self.pmul(y, x)))
 
     def passociator(
         self, x: "ProductElement", y: "ProductElement", z: "ProductElement"
     ) -> "ProductElement":
+        """The unique c with (x*y)*z = c*(x*(y*z)); lands in {1, -1}."""
         left = self.pmul(self.pmul(x, y), z)
         right = self.pmul(x, self.pmul(y, z))
         return self.pmul(left, self.pinv(right))
@@ -99,13 +121,14 @@ class CentralProduct:
         self._check_member(x)
         return sum(1 for e in x.masks if e)
 
-    def embed(self, factor_index: int, x: LoopElement) -> "ProductElement":
-        """Canonical image of an element of factor D_i (1-based i)."""
+    def embed(self, factor_index: int, x: "ProductElement") -> "ProductElement":
+        """Canonical image of an element of factor D_i (1-based i), given
+        as an element of D_i.product."""
         if not 1 <= factor_index <= self.m:
             raise ValueError(f"factor index {factor_index} out of range 1..{self.m}")
-        if x.loop != self.factors[factor_index - 1]:
+        if x.product != self.factors[factor_index - 1].product:
             raise ValueError(
-                f"element belongs to {x.loop.describe()}, not factor {factor_index}"
+                f"element belongs to {x.product.describe()}, not factor {factor_index}"
             )
         masks = tuple(x.mask if i == factor_index - 1 else 0 for i in range(self.m))
         return ProductElement(self, x.scalar, masks)
@@ -140,13 +163,6 @@ class CentralProduct:
                 elements.append(x)
         return elements
 
-    def combined_mask(self, x: "ProductElement") -> int:
-        n = self.n
-        combined = 0
-        for i, e in enumerate(x.masks):
-            combined |= e << (n * i)
-        return combined
-
     def split_mask(self, combined: int) -> tuple[int, ...]:
         n = self.n
         low = (1 << n) - 1
@@ -154,7 +170,7 @@ class CentralProduct:
 
     def element_index(self, x: "ProductElement") -> int:
         self._check_member(x)
-        return x.scalar.exponent * self.coset_count + self.combined_mask(x)
+        return x.scalar.exponent * self.coset_count + x.mask
 
     def element_at(self, index: int) -> "ProductElement":
         if not 0 <= index < self.order:
@@ -195,6 +211,16 @@ class ProductElement:
                 raise ValueError(f"mask {e:#x} does not fit in {d.n} bits")
 
     @property
+    def mask(self) -> int:
+        """Combined mask: factor i's mask in bits n*(i-1) and up."""
+        n = self.product.n
+        return sum(e << (n * i) for i, e in enumerate(self.masks))
+
+    @property
+    def is_scalar(self) -> bool:
+        return not any(self.masks)
+
+    @property
     def rank(self) -> int:
         return self.product.rank(self)
 
@@ -205,13 +231,14 @@ class ProductElement:
         return self.product.pinv(self)
 
     def __str__(self) -> str:
+        """Monomials tagged @i with their factor, untagged in a single loop."""
         parts = []
         for i, e in enumerate(self.masks):
             if e:
                 monomial = "".join(
                     f"l{j + 1}" for j in range(self.product.n) if e >> j & 1
                 )
-                parts.append(f"{monomial}@{i + 1}")
+                parts.append(monomial if self.product.m == 1 else f"{monomial}@{i + 1}")
         if not parts:
             return str(self.scalar)
         body = "*".join(parts)

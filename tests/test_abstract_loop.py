@@ -190,6 +190,16 @@ def test_parse_diagnostics():
     for entry in (2**70, -(2**70)):
         with pytest.raises(TableFormatError, match="row 1 has an entry outside 0..1"):
             parse_loop_table(f"loop-table v1 2\n0 1\n1 {entry}\n")
+    # int() reads all of these, but loop-table v1 writes none of them.
+    for rows, bad in (("0 +1\n+1 0", 0), ("0 1\n1 0_0", 1), ("\u0660 1\n1 \u0660", 0)):
+        with pytest.raises(TableFormatError, match=f"row {bad} contains a non-integer entry"):
+            parse_loop_table(f"loop-table v1 2\n{rows}\n")
+    for size in ("+2", "-2", "\u0662", "2_0", "\u00b2"):
+        with pytest.raises(TableFormatError, match="invalid size in header"):
+            parse_loop_table(f"loop-table v1 {size}\n0 1\n1 0\n")
+    for text in ("loop-table v1 2\n0 1\u20281 0\n", "loop-table v1 2\n0 1\n\u3000\n1 0\n"):
+        with pytest.raises(TableFormatError, match="non-ASCII whitespace or line breaks"):
+            parse_loop_table(text)
 
 
 def test_parse_charges_the_header_size_before_reading_rows():

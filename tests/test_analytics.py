@@ -211,3 +211,24 @@ def test_brute_budget_guards():
         associativity_degree_brute(O, max_elements=10)
     with pytest.raises(BudgetExceeded):
         rank_census_brute(A2, max_elements=100)
+
+
+def test_coset_surveys_charge_coset_work():
+    L6 = CDLoop.all_minus_one(Z2, 6)
+    brute = associativity_degree_brute(L6, max_elements=1 << 18)
+    assert brute.degree == associativity_degree_closed(6).degree
+    assert brute.total == L6.order**3
+    with pytest.raises(BudgetExceeded, match="coset triples needs 2097152 items"):
+        associativity_degree_brute(CDLoop.all_minus_one(Z2, 7))
+    # The charge is 8**n coset triples and 4**n coset pairs, whatever |Z|.
+    L = CDLoop.all_minus_one(Z4, 3)
+    assert associativity_degree_brute(L, max_elements=512).degree == Fraction(43, 64)
+    assert moufang_identity_holds(L, max_elements=512)
+    assert is_di_associative(L, max_elements=64)
+    for survey, cells in (
+        (associativity_degree_brute, 512),
+        (moufang_identity_holds, 512),
+        (is_di_associative, 64),
+    ):
+        with pytest.raises(BudgetExceeded, match=f"over coset (triples|pairs) needs {cells} "):
+            survey(L, max_elements=cells - 1)

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_twist_kernel import reference_twist
 
-from cdloops import CDLoop, LoopElement, Scalar, make_scalar_group
+from cdloops import CDLoop, Scalar, make_product, make_scalar_group
 from cdloops.errors import BudgetExceeded
 
 Z2 = make_scalar_group(2)
@@ -270,3 +273,96 @@ def test_element_rendering():
 def test_describe_mixed_gammas():
     L = CDLoop(Z4, (Z4.one, Scalar(Z4, 1)))
     assert L.describe() == "(+1,1)_Z4"
+
+
+# -- a loop is its own one-factor central product -----------------------------
+#
+# The oracle below writes out the (scalar exponent, mask) formulas of one
+# loop directly on the recursive doubling law, sharing no code with
+# CentralProduct's arithmetic or with twist_exp.
+
+
+def oracle_mul(L, a, b):
+    (s, e), (t, f) = a, b
+    return (s + t + reference_twist(L, L.n, e, f)) % L.z.order, e ^ f
+
+
+def oracle_inv(L, a):
+    s, e = a
+    return (-s - reference_twist(L, L.n, e, e)) % L.z.order, e
+
+
+def oracle_conj(L, a):
+    s, e = a
+    return (s + (L.z.order // 2 if e else 0)) % L.z.order, e
+
+
+def oracle_commutator(L, a, b):
+    return oracle_mul(L, oracle_mul(L, a, b), oracle_inv(L, oracle_mul(L, b, a)))
+
+
+def oracle_associator(L, a, b, c):
+    left = oracle_mul(L, oracle_mul(L, a, b), c)
+    right = oracle_mul(L, a, oracle_mul(L, b, c))
+    return oracle_mul(L, left, oracle_inv(L, right))
+
+
+def pair(x):
+    return x.scalar.exponent, x.mask
+
+
+def assert_matches_oracle(L, x, y, z):
+    a, b, c = pair(x), pair(y), pair(z)
+    assert pair(L.mul(x, y)) == oracle_mul(L, a, b)
+    assert pair(L.inv(x)) == oracle_inv(L, a)
+    assert pair(L.conj(x)) == oracle_conj(L, a)
+    assert pair(L.commutator(x, y)) == oracle_commutator(L, a, b)
+    assert pair(L.associator(x, y, z)) == oracle_associator(L, a, b, c)
+
+
+@pytest.mark.parametrize("order", (2, 4, 6))
+def test_loop_arithmetic_matches_the_scalar_mask_formulas(order):
+    rng = random.Random(order)
+    z = make_scalar_group(order)
+    for n in range(4):
+        L = CDLoop(z, tuple(Scalar(z, rng.randrange(order)) for _ in range(n)))
+        elems = L.elements()
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                assert_matches_oracle(L, x, y, elems[(7 * i + j) % len(elems)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 4, 6)),
+    st.sampled_from((8, 16)),
+    st.lists(st.integers(0, 5), min_size=16, max_size=16),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**16 - 1)), min_size=3, max_size=3),
+)
+def test_loop_arithmetic_matches_the_formulas_at_large_n(order, n, gexps, picks):
+    z = make_scalar_group(order)
+    L = CDLoop(z, tuple(Scalar(z, g % order) for g in gexps[:n]))
+    x, y, w = (L.element(Scalar(z, s % order), mask % (1 << n)) for s, mask in picks)
+    assert_matches_oracle(L, x, y, w)
+
+
+def test_loop_elements_are_its_one_factor_product_elements():
+    for L in (QUATERNIONS, OCTONIONS, CDLoop(Z4, (Z4.one, Scalar(Z4, 1)))):
+        elems = L.elements()
+        assert L.product == make_product(L.z, [L])
+        via_product = make_product(L.z, [L]).penumerate()
+        assert len(elems) == len(via_product) == L.order
+        for x, y in zip(elems, via_product):
+            assert type(x) is type(y)
+            assert x == y and hash(x) == hash(y)
+        assert L.identity == L.product.identity
+        assert L.generator(2) == L.product.element(L.z.one, (2,))
+
+
+def test_loop_views_keep_the_product_checks():
+    with pytest.raises(BudgetExceeded, match="product enumeration"):
+        OCTONIONS.elements(max_elements=15)
+    foreign = make_product(Z2, [OCTONIONS, OCTONIONS]).identity
+    for view in (OCTONIONS.inv, OCTONIONS.conj):
+        with pytest.raises(ValueError, match="different product"):
+            view(foreign)

@@ -124,7 +124,7 @@ def test_enumeration_and_index_round_trip():
 
 def test_combined_mask_puts_factor_one_in_low_bits():
     x = ProductElement(A2, Z2.one, (0b101, 0b011))
-    assert A2.combined_mask(x) == 0b011101
+    assert x.mask == 0b011101
     assert A2.split_mask(0b011101) == (0b101, 0b011)
 
 
@@ -163,3 +163,21 @@ def test_rendering():
     assert str(A2.scale(Z2.minus_one, x)) == "-1*l1@1*l2@2"
     assert str(A2.identity) == "+1"
     assert A2.describe() == "(-1,-1,-1)_Z2 * (-1,-1,-1)_Z2"
+
+
+def test_rendering_tags_factors_only_in_products_of_two_or_more():
+    l1, l2 = O.generator(1), O.generator(2)
+    assert str(O.mul(l1, l2)) == "l1l2"
+    assert "@" not in str(O.element(Z2.minus_one, 7))
+    assert str(A2.embed(2, l1)) == "l1@2"
+    assert str(A2.scale(Z2.minus_one, A2.embed(1, O.mul(l1, l2)))) == "-1*l1l2@1"
+
+
+def test_element_index_is_scalar_major_over_the_combined_mask():
+    A = make_product(Z4, [CDLoop.all_minus_one(Z4, 2)] * 3)
+    for x in A.penumerate():
+        assert A.element_index(x) == x.scalar.exponent * A.coset_count + x.mask
+        assert A.split_mask(x.mask) == x.masks
+    for L in (O, CDLoop.all_minus_one(Z4, 2)):
+        for x in L.elements():
+            assert x.mask == x.masks[0]

@@ -337,3 +337,37 @@ def test_closed_stdout_pipe_exits_quietly():
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+def test_associativity_brute_is_charged_by_coset_triples(capsys):
+    payload = run_json(
+        capsys, "degrees", "--kind", "associativity", "--n", "6", "--method", "both"
+    )
+    assert payload["agree"] is True
+    assert payload["brute"]["degree"]["den"] == 32768
+    code, out, err = run_cli(
+        capsys, "degrees", "--kind", "associativity", "--n", "7", "--method", "brute"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: associativity survey over coset triples needs 2097152 items")
+
+
+def test_verify_under_a_small_budget_reports_skips(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--max-n", "3", "--max-m", "1", "--trials", "1",
+        "--max-elements", "200",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    checks = {c["name"]: c for c in payload["checks"]}
+    for name in ("loop-table-serialize-parse-roundtrip", "iso-search-finds-self-relabeling"):
+        assert checks[name]["status"] == "skipped"
+        assert "table construction needs 256 items" in checks[name]["actual"]
+    roundtrips = [c for name, c in checks.items() if name.startswith("decompose-roundtrip")]
+    assert roundtrips and all(c["status"] == "skipped" for c in roundtrips)
+    pivot = checks["decompose-pivot-order-invariance"]
+    assert pivot["status"] == "info"
+    assert "not compared" in pivot["actual"] and "True" not in pivot["actual"]

@@ -255,5 +255,5 @@ def test_commutant_at_sixteen_generators_builds_no_dense_table():
     assert "_twist_table" not in vars(L)
     # a rank-1 element commutes with |Z| * 2**n * b_1(n) = 2 * |Z| elements:
     # the scalars times its own coset and the identity's
-    c = A.combined_mask(x)
+    c = x.mask
     assert [A.element_index(y) for y in result] == [0, c, A.coset_count, A.coset_count + c]

@@ -72,6 +72,7 @@ def parses_or_rejects(text: str) -> None:
     except (TableFormatError, BudgetExceeded):
         return
     assert isinstance(loop, AbstractLoop) and loop.identity == 0
+    assert text.isascii() and "+" not in text and "_" not in text, text
 
 
 @FUZZ
