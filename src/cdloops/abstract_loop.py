@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import ensure_budget
-from .cdloop import CDLoop
+from .cdloop import CDLoop, as_product
 from .central_product import CentralProduct, coset_twist_matrix
 from .errors import BudgetExceeded, TableFormatError
 
@@ -282,12 +282,7 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
     exponent s and combined mask c (factor 1 in the low n bits), so the
     identity always lands at index 0.
     """
-    if isinstance(obj, CDLoop):
-        A = obj.product
-    elif isinstance(obj, CentralProduct):
-        A = obj
-    else:
-        raise TypeError(f"expected CDLoop or CentralProduct, got {type(obj).__name__}")
+    A = as_product(obj)
     size = A.order
     ensure_budget(size * size, max_elements, "table construction")
     k = A.z.order

@@ -5,12 +5,14 @@ fractions.  Closed-form routines evaluate the matching exact expressions so
 the two can be compared at zero tolerance.  Scalars are central, so they
 cancel in every commutator, associator and Moufang word: each survey is a
 statement about cosets of Z, walks masks rather than elements, and
-multiplies counts back by powers of |Z|.  Pairwise surveys read the coset
+multiplies counts back by powers of |Z|.  Every survey takes a loop or a
+central product (a loop is its own one-factor product) and reads the coset
 twist matrix T: cosets c1, c2 commute exactly when T[c1, c2] == T[c2, c1],
-because T's entries are already reduced.  Associativity, Moufang and
-di-associativity surveys read the loop's dense twist table, whose narrow
-unsigned dtype holds the sum of two entries; surveys that subtract entries
-upcast to int64 first.
+because T's entries are already reduced.  T's narrow unsigned dtype holds
+the sum of two entries; surveys that subtract entries upcast to int64
+first.  Associativity and di-associativity verdicts depend only on the
+XOR span of the masks involved, so those surveys judge each subspace of
+A/Z = F2**(m*n) of dimension <= 3 (or 2) once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ from math import comb
 import numpy as np
 
 from .budget import ensure_budget
-from .cdloop import CDLoop
+from .cdloop import CDLoop, as_product
 from .central_product import CentralProduct, ProductElement, coset_twist_matrix
+
+# Ordered triples of vectors that span a given r-dimensional space, for
+# r = 0..3: the surjections F2**3 -> F2**r.
+_SPANNING_TRIPLES = np.array([1, 7, 42, 168])
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ def pc_limit_table(
 
 
 def commutant(
-    A: CentralProduct, x: ProductElement, max_elements: int | None = None
+    A: CDLoop | CentralProduct, x: ProductElement, max_elements: int | None = None
 ) -> list[ProductElement]:
     """All y with x*y = y*x, in enumeration order.
 
@@ -139,9 +145,9 @@ def commutant(
     rows t_i(x_i, f) - t_i(f, x_i), read through twist_exp and kept in
     twist_table's dtype, which holds the sum of two reduced exponents.
     """
+    A = as_product(A)
     ensure_budget(A.order, max_elements, "commutant enumeration")
-    if x.product != A:
-        raise ValueError("element belongs to a different product")
+    A._check_member(x)
     order = A.z.order
     dtype = np.min_scalar_type(2 * (order - 1))
     exps = np.zeros(1, dtype=dtype)
@@ -152,19 +158,20 @@ def commutant(
 
 
 def commutant_coset_sizes(
-    A: CentralProduct, max_elements: int | None = None
+    A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> list[int]:
     """|C_A(x)/Z| for one representative per coset, indexed by combined mask."""
-    pairs = A.coset_count**2
-    ensure_budget(pairs, max_elements, "commutant survey over coset pairs")
+    A = as_product(A)
+    ensure_budget(A.coset_count**2, max_elements, "commutant survey over coset pairs")
     twist = coset_twist_matrix(A)
     return [int(c) for c in (twist == twist.T).sum(axis=1)]
 
 
 def commutativity_degree_brute(
-    A: CentralProduct, max_elements: int | None = None
+    A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> DegreeReport:
     """Count commuting pairs exhaustively over A/Z x A/Z."""
+    A = as_product(A)
     pairs = A.coset_count**2
     ensure_budget(pairs, max_elements, "commutativity survey over coset pairs")
     twist = coset_twist_matrix(A)
@@ -176,25 +183,28 @@ def commutativity_degree_brute(
 
 
 def rank_census_brute(
-    A: CentralProduct, max_elements: int | None = None
+    A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> list[int]:
     """Histogram of element ranks: combined masks counted by rank, times |Z|."""
+    A = as_product(A)
     ensure_budget(A.order, max_elements, "product enumeration")
-    masks = np.arange(A.coset_count)
-    ranks = sum((masks >> (A.n * i)) % (1 << A.n) != 0 for i in range(A.m))
-    return [int(c) * A.z.order for c in np.bincount(ranks, minlength=A.m + 1)]
+    ranks = np.bincount(A.coset_ranks(), minlength=A.m + 1)
+    return [int(c) * A.z.order for c in ranks]
 
 
 # -- associativity -------------------------------------------------------------
 
 
-def _associates(t: np.ndarray, order: int, e, f, g) -> np.ndarray:
-    """Whether (b(e)*b(f))*b(g) == b(e)*(b(f)*b(g)), over broadcast index arrays.
+def _associates(t: np.ndarray, order: int, spans: np.ndarray) -> np.ndarray:
+    """Whether (b(e)*b(f))*b(g) == b(e)*(b(f)*b(g)) for all e, f, g from
+    each row of span members (see generates_group), one verdict per row.
 
     t is a twist table whose index XOR matches mask XOR; each side's
     exponent is a sum of two entries of t, which t's dtype holds.
     """
-    return (t[e, f] + t[e ^ f, g]) % order == (t[f, g] + t[e, f ^ g]) % order
+    e, f, g = spans[:, :, None, None], spans[:, None, :, None], spans[:, None, None]
+    same = (t[e, f] + t[e ^ f, g]) % order == (t[f, g] + t[e, f ^ g]) % order
+    return same.all(axis=(1, 2, 3))
 
 
 def generates_group(
@@ -216,62 +226,80 @@ def generates_group(
     for mask in (x.mask, y.mask, z.mask):
         span += [s ^ mask for s in span]
     table = np.array([[L.twist_exp(a, b) for b in span] for a in span])
-    i = np.arange(8)
-    return bool(_associates(table, L.z.order, i[:, None, None], i[:, None], i).all())
+    return bool(_associates(table, L.z.order, np.arange(8)[None])[0])
+
+
+def _subspaces(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every subspace of F2**k of dimension <= d once, and its dimension.
+
+    A subspace is grown from its reduced echelon basis one vector at a time:
+    with P the OR of the pivots (leading bits) so far, the next vector v
+    lies above all of them (v > P) and is clear at each (v & P == 0).  Row
+    member i is the XOR of the basis vectors picked by the bits of i, so
+    members XOR like their indices.  An r-dimensional subspace pads its
+    basis with zeros, so its row lists each member 2**(d - r) times.
+    """
+    vectors = np.arange(1 << k, dtype=np.min_scalar_type((1 << k) - 1))
+    lead = np.array([1 << v.bit_length() >> 1 for v in range(1 << k)], vectors.dtype)
+    rows, pivots = np.zeros((1, 1), vectors.dtype), np.zeros(1, vectors.dtype)
+    levels = [rows]
+    for _ in range(d):
+        P = pivots[:, None]
+        which, v = np.nonzero((vectors > P) & (vectors & P == 0))
+        rows = np.hstack([rows[which], rows[which] ^ vectors[v, None]])
+        pivots = pivots[which] | lead[v]
+        levels.append(rows)
+    spans = np.vstack([np.tile(r, (1 << d) // r.shape[1]) for r in levels])
+    return spans, np.repeat(np.arange(d + 1), [len(r) for r in levels])
 
 
 def associativity_degree_brute(
-    L: CDLoop, max_elements: int | None = None
+    A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> DegreeReport:
     """Count group-generating element triples exhaustively.
 
     A triple's verdict depends only on the XOR span of its masks (see
-    generates_group).  Each coset triple's span, as a sorted row of 8 masks
-    (an r-dimensional span lists each member 2**(3 - r) times), is judged
-    once per distinct row, and the good coset triples are counted times
-    |Z|**3.  The budget is charged the 8**n coset triples.
+    generates_group).  Each subspace of A/Z of dimension <= 3 is judged
+    once and stands for the coset triples that span it; the good coset
+    triples are counted times |Z|**3.  The budget is charged the 8**(m*n)
+    coset triples.
     """
-    ensure_budget(8**L.n, max_elements, "associativity survey over coset triples")
-    total = L.order**3
-    size = 1 << L.n
-    masks = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    rows = np.zeros((1, 1), dtype=masks.dtype)
-    for _ in range(3):
-        rows = np.repeat(rows, size, axis=0)
-        rows = np.hstack([rows, rows ^ np.tile(masks, len(rows) // size)[:, None]])
-    rows.sort(axis=1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * 8))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    s = rows[first]
-    e, f, g = s[:, :, None, None], s[:, None, :, None], s[:, None, None]
-    ok = _associates(L.twist_table(), L.z.order, e, f, g).all(axis=(1, 2, 3))
-    favorable = int(counts[ok].sum()) * L.z.order**3
+    A = as_product(A)
+    ensure_budget(
+        8 ** (A.m * A.n), max_elements, "associativity survey over coset triples"
+    )
+    spans, dims = _subspaces(A.m * A.n, 3)
+    ok = _associates(coset_twist_matrix(A), A.z.order, spans)
+    favorable = int(_SPANNING_TRIPLES[dims[ok]].sum()) * A.z.order**3
+    total = A.order**3
     return DegreeReport(
-        Fraction(favorable, total), favorable, total, "brute", 1, L.n, L.z.order
+        Fraction(favorable, total), favorable, total, "brute", A.m, A.n, A.z.order
     )
 
 
 def commutator_exponent_image(
-    A: CentralProduct, max_elements: int | None = None
+    A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> set[int]:
     """Scalar exponents of x*y / (y*x) over all pairs.
 
     Scalar parts of x and y cancel in the commutator, so the image over
     coset pairs equals the image over all element pairs.
     """
+    A = as_product(A)
     ensure_budget(A.coset_count**2, max_elements, "commutator image over coset pairs")
     twist = coset_twist_matrix(A).astype(np.int64)
     return {int(v) for v in np.unique((twist - twist.T) % A.z.order)}
 
 
 def associator_exponent_image(
-    A: CentralProduct, max_elements: int | None = None
+    A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> set[int]:
     """Scalar exponents of ((x*y)*z) / (x*(y*z)) over all triples.
 
     As with commutators, scalar parts cancel, so coset triples cover the
     full element-triple image.
     """
+    A = as_product(A)
     size = A.coset_count
     ensure_budget(size**3, max_elements, "associator image over coset triples")
     twist = coset_twist_matrix(A).astype(np.int64)
@@ -289,32 +317,35 @@ def associator_exponent_image(
 # -- structural identity checks -------------------------------------------------
 
 
-def is_di_associative(L: CDLoop, max_elements: int | None = None) -> bool:
-    """True iff every 2-generated subloop of L is a group: for each coset e,
-    every span {0, e, f, e^f} associates (see generates_group)."""
-    ensure_budget(4**L.n, max_elements, "di-associativity survey over coset pairs")
-    t = L.twist_table()
-    f = np.arange(1 << L.n)
-    for e in range(len(f)):
-        s = np.stack([np.zeros_like(f), np.full_like(f, e), f, f ^ e])
-        if not _associates(t, L.z.order, s[:, None, None], s[:, None], s).all():
-            return False
-    return True
+def is_di_associative(
+    A: CDLoop | CentralProduct, max_elements: int | None = None
+) -> bool:
+    """True iff every 2-generated subloop is a group: every subspace of A/Z
+    of dimension <= 2 associates (see generates_group)."""
+    A = as_product(A)
+    ensure_budget(
+        4 ** (A.m * A.n), max_elements, "di-associativity survey over coset pairs"
+    )
+    spans, _ = _subspaces(A.m * A.n, 2)
+    return bool(_associates(coset_twist_matrix(A), A.z.order, spans).all())
 
 
-def moufang_identity_holds(L: CDLoop, max_elements: int | None = None) -> bool:
+def moufang_identity_holds(
+    A: CDLoop | CentralProduct, max_elements: int | None = None
+) -> bool:
     """Exhaustively check ((x*y)*z)*y == x*(y*(z*y)).
 
     Both sides carry the same central scalar parts, so it suffices that
     t(e,f) + t(e^f,g) + t(e^f^g,f) == t(g,f) + t(f,g^f) + t(e,g) mod |Z|
-    for all masks, checked one coset e at a time.
+    for all coset masks, checked one coset e at a time.
     """
-    ensure_budget(8**L.n, max_elements, "Moufang survey over coset triples")
-    t = L.twist_table().astype(np.int64)
-    f = np.arange(1 << L.n)[:, None]
+    A = as_product(A)
+    ensure_budget(8 ** (A.m * A.n), max_elements, "Moufang survey over coset triples")
+    t = coset_twist_matrix(A).astype(np.int64)
+    f = np.arange(A.coset_count)[:, None]
     g = f.T
     for e in range(len(f)):
         left = t[e, f] + t[e ^ f, g] + t[e ^ f ^ g, f]
-        if ((left - t[g, f] - t[f, g ^ f] - t[e, g]) % L.z.order).any():
+        if ((left - t[g, f] - t[f, g ^ f] - t[e, g]) % A.z.order).any():
             return False
     return True

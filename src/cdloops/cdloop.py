@@ -175,3 +175,13 @@ class CDLoop:
     def describe(self) -> str:
         gammas = ",".join(self.z.format(g) for g in self.gammas)
         return f"({gammas})_Z{self.z.order}"
+
+
+def as_product(obj: CDLoop | CentralProduct) -> CentralProduct:
+    """The central product behind a loop or product: a loop is its own
+    one-factor product."""
+    if isinstance(obj, CDLoop):
+        return obj.product
+    if isinstance(obj, CentralProduct):
+        return obj
+    raise TypeError(f"expected CDLoop or CentralProduct, got {type(obj).__name__}")

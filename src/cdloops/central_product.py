@@ -152,8 +152,7 @@ class CentralProduct:
         scalars and split masks pass by construction: the checks cost
         several times the object, and commutant returns up to |A| elements.
         """
-        split = cosets[:, None] >> self.n * np.arange(self.m) & (1 << self.n) - 1
-        masks = list(map(tuple, split.tolist()))
+        masks = list(map(tuple, self._split_masks(cosets).tolist()))
         elements = []
         for scalar in self.z.elements():
             for mask in masks:
@@ -162,6 +161,14 @@ class CentralProduct:
                 fields["product"], fields["scalar"], fields["masks"] = self, scalar, mask
                 elements.append(x)
         return elements
+
+    def _split_masks(self, cosets: np.ndarray) -> np.ndarray:
+        """Per-factor masks of each combined mask, one column per factor."""
+        return cosets[:, None] >> self.n * np.arange(self.m) & (1 << self.n) - 1
+
+    def coset_ranks(self) -> np.ndarray:
+        """Rank of every coset of Z (see rank), indexed by combined mask."""
+        return (self._split_masks(np.arange(self.coset_count)) != 0).sum(axis=1)
 
     def split_mask(self, combined: int) -> tuple[int, ...]:
         n = self.n

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -80,34 +81,23 @@ def _parse_factors(z: ScalarGroup, text: str) -> CentralProduct:
 def _cmd_build(args) -> int:
     z = make_scalar_group(args.z_order)
     loop = CDLoop(z, _parse_gammas(z, args.gammas))
+    gens = range(1, loop.n + 1)
     squares = {
         f"l{i}": z.format(loop.mul(loop.generator(i), loop.generator(i)).scalar)
-        for i in range(1, loop.n + 1)
+        for i in gens
     }
     commutators = []
-    for i in range(1, loop.n + 1):
-        for j in range(i + 1, loop.n + 1):
-            if len(commutators) >= 10:
-                break
-            value = loop.commutator(loop.generator(i), loop.generator(j))
-            commutators.append(
-                {"pair": [f"l{i}", f"l{j}"], "value": z.format(value.scalar)}
-            )
+    for i, j in itertools.islice(itertools.combinations(gens, 2), 10):
+        value = loop.commutator(loop.generator(i), loop.generator(j))
+        commutators.append(
+            {"pair": [f"l{i}", f"l{j}"], "value": z.format(value.scalar)}
+        )
     associators = []
-    for i in range(1, loop.n + 1):
-        for j in range(i + 1, loop.n + 1):
-            for k in range(j + 1, loop.n + 1):
-                if len(associators) >= 10:
-                    break
-                value = loop.associator(
-                    loop.generator(i), loop.generator(j), loop.generator(k)
-                )
-                associators.append(
-                    {
-                        "triple": [f"l{i}", f"l{j}", f"l{k}"],
-                        "value": z.format(value.scalar),
-                    }
-                )
+    for i, j, k in itertools.islice(itertools.combinations(gens, 3), 10):
+        value = loop.associator(loop.generator(i), loop.generator(j), loop.generator(k))
+        associators.append(
+            {"triple": [f"l{i}", f"l{j}", f"l{k}"], "value": z.format(value.scalar)}
+        )
     _emit(
         {
             "z_order": z.order,
@@ -283,12 +273,7 @@ def _cmd_verify(args) -> int:
     _emit(
         {
             "checks": [dataclasses.asdict(c) for c in report.checks],
-            "summary": {
-                "pass": report.count("pass"),
-                "fail": report.count("fail"),
-                "skipped": report.count("skipped"),
-                "info": report.count("info"),
-            },
+            "summary": {s: report.count(s) for s in ("pass", "fail", "skipped", "info")},
             "ok": report.ok,
         }
     )

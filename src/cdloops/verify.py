@@ -8,6 +8,7 @@ measurements as info.  The suite is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .analytics import (
     two_factor_commutativity_closed,
 )
 from .cdloop import CDLoop
-from .central_product import CentralProduct, make_product
+from .central_product import make_product
 from .decompose import DecompositionError, match_factors, recover_factors
 from .errors import BudgetExceeded
 from .scalars import Scalar, ScalarGroup, make_scalar_group
@@ -272,24 +273,20 @@ def run_verify(
         "enumeration",
         Fraction(5, 8),
         lambda: commutativity_degree_brute(
-            CentralProduct(
-                make_scalar_group(2),
-                (CDLoop.all_minus_one(make_scalar_group(2), 2),),
-            ),
-            me,
+            CDLoop.all_minus_one(make_scalar_group(2), 2), me
         ).degree,
     )
 
     def _mixed_gamma_comm() -> bool:
         z = make_scalar_group(2)
-        ok = True
-        for gammas in _gamma_variants(z, 3)[1:]:
-            A = make_product(z, [CDLoop(z, gammas), CDLoop.all_minus_one(z, 3)])
-            ok = ok and (
-                commutativity_degree_brute(A, me).degree
-                == commutativity_degree_closed(2, 3, 2).degree
-            )
-        return ok
+        closed = commutativity_degree_closed(2, 3, 2).degree
+        return all(
+            commutativity_degree_brute(
+                make_product(z, [CDLoop(z, gammas), CDLoop.all_minus_one(z, 3)]), me
+            ).degree
+            == closed
+            for gammas in _gamma_variants(z, 3)[1:]
+        )
 
     r.check(
         "comm-degree-independent-of-gammas-m2-n3",
@@ -299,6 +296,9 @@ def run_verify(
     )
 
     # -- commutant ratios and censuses over the acceptance grid ----------------
+    # Products are equal by value, so each grid product is surveyed once
+    # however many checks read it; a budget skip is not cached.
+    coset_sizes = functools.cache(lambda A: commutant_coset_sizes(A, me))
     grid = [
         (m, n)
         for m in range(1, max_m + 1)
@@ -309,16 +309,11 @@ def run_verify(
         z = make_scalar_group(2)
         A = make_product(z, [CDLoop.all_minus_one(z, n) for _ in range(m)])
 
-        def _ratios_match(A=A, m=m, n=n) -> bool:
-            sizes = commutant_coset_sizes(A, me)
-            cosets = A.coset_count
-            for combined, size in enumerate(sizes):
-                rank = sum(
-                    1 for i in range(m) if (combined >> (n * i)) & ((1 << n) - 1)
-                )
-                if Fraction(size, cosets) != b_k_closed(n, rank):
-                    return False
-            return True
+        def _ratios_match(A=A, n=n) -> bool:
+            return all(
+                Fraction(size, A.coset_count) == b_k_closed(n, int(rank))
+                for size, rank in zip(coset_sizes(A), A.coset_ranks())
+            )
 
         r.check(
             f"commutant-ratios-match-bk-m{m}-n{n}-z2",
@@ -328,14 +323,8 @@ def run_verify(
         )
 
         def _rank1_size(A=A, m=m, n=n) -> bool:
-            sizes = commutant_coset_sizes(A, me)
-            expected = 2 ** ((m - 1) * n + 1)
-            low = (1 << n) - 1
-            for combined, size in enumerate(sizes):
-                rank = sum(1 for i in range(m) if (combined >> (n * i)) & low)
-                if rank == 1 and size != expected:
-                    return False
-            return True
+            sizes = np.array(coset_sizes(A))
+            return bool((sizes[A.coset_ranks() == 1] == 2 ** ((m - 1) * n + 1)).all())
 
         r.check(
             f"rank1-commutant-coset-size-m{m}-n{n}-z2",
@@ -363,12 +352,9 @@ def run_verify(
     def _commutant_elements_consistent() -> bool:
         z = make_scalar_group(2)
         A = make_product(z, [CDLoop.all_minus_one(z, 3) for _ in range(2)])
-        sizes = commutant_coset_sizes(A, me)
-        for masks in ((1, 0), (1, 2)):
-            x = A.element(z.one, masks)
-            if len(commutant(A, x, me)) != sizes[x.mask] * z.order:
-                return False
-        return True
+        sizes = coset_sizes(A)
+        picks = (A.element(z.one, masks) for masks in ((1, 0), (1, 2)))
+        return all(len(commutant(A, x, me)) == sizes[x.mask] * z.order for x in picks)
 
     r.check(
         "commutant-elements-agree-with-coset-survey-m2-n3",
@@ -429,42 +415,29 @@ def run_verify(
         lambda: all(is_di_associative(L, me) for L in swept),
     )
 
-    def _images_in_pm1() -> bool:
-        for L in swept:
-            A = CentralProduct(L.z, (L,))
-            half = _half_set(L.z.order)
-            if not commutator_exponent_image(A, me) <= half:
-                return False
-            if not associator_exponent_image(A, me) <= half:
-                return False
-        return True
+    def _images_in_pm1(loops) -> bool:
+        return all(
+            commutator_exponent_image(L, me) <= _half_set(L.z.order)
+            and associator_exponent_image(L, me) <= _half_set(L.z.order)
+            for L in loops
+        )
 
     r.check(
         "commutators-and-associators-in-pm1-across-sweep",
         "reference",
         True,
-        _images_in_pm1,
+        lambda: _images_in_pm1(swept),
     )
-
-    def _product_images_in_pm1() -> bool:
-        for zo in z_orders:
-            z = make_scalar_group(zo)
-            for m, n in ((2, 2), (2, 3)):
-                if m > max_m or n > max_n:
-                    continue
-                A = make_product(z, [CDLoop.all_minus_one(z, n)] * m)
-                half = _half_set(zo)
-                if not commutator_exponent_image(A, me) <= half:
-                    return False
-                if not associator_exponent_image(A, me) <= half:
-                    return False
-        return True
-
     r.check(
         "product-commutators-and-associators-in-pm1",
         "reference",
         True,
-        _product_images_in_pm1,
+        lambda: _images_in_pm1(
+            make_product(z, [CDLoop.all_minus_one(z, n)] * m)
+            for z in map(make_scalar_group, z_orders)
+            for m, n in ((2, 2), (2, 3))
+            if m <= max_m and n <= max_n
+        ),
     )
 
     def _conj_anti_automorphism() -> bool:
@@ -551,18 +524,16 @@ def run_verify(
 
     # -- table round trips and isomorphism search ----------------------------------
     z2 = make_scalar_group(2)
+    o16 = functools.cache(lambda: to_table(CDLoop.all_minus_one(z2, 3), me))
 
     def _table_roundtrip() -> bool:
-        o16 = to_table(CDLoop.all_minus_one(z2, 3), me)
-        return parse_loop_table(serialize_loop_table(o16)) == o16
+        return parse_loop_table(serialize_loop_table(o16())) == o16()
 
     r.check("loop-table-serialize-parse-roundtrip", "direct", True, _table_roundtrip)
 
     def _iso_roundtrip() -> bool:
-        o16 = to_table(CDLoop.all_minus_one(z2, 3), me)
-        shuffled, _ = random_relabel(o16, rng)
-        witness = find_isomorphism(o16, shuffled)
-        return witness is not None
+        shuffled, _ = random_relabel(o16(), rng)
+        return find_isomorphism(o16(), shuffled) is not None
 
     r.check("iso-search-finds-self-relabeling", "enumeration", True, _iso_roundtrip)
 

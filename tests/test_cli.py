@@ -34,6 +34,26 @@ def test_build_summary(capsys):
     assert payload["sample_associators"] == []
 
 
+def test_build_samples_the_first_ten_pairs_and_triples(capsys):
+    # n = 6 has 15 generator pairs and 20 triples; the first ten of each are
+    # listed in lexicographic order
+    payload = run_json(capsys, "build", "--z-order", "2", "--gammas", "-1,-1,-1,-1,-1,-1")
+    pairs = [row["pair"] for row in payload["sample_commutators"]]
+    triples = [row["triple"] for row in payload["sample_associators"]]
+    assert pairs == [
+        ["l1", "l2"], ["l1", "l3"], ["l1", "l4"], ["l1", "l5"], ["l1", "l6"],
+        ["l2", "l3"], ["l2", "l4"], ["l2", "l5"], ["l2", "l6"], ["l3", "l4"],
+    ]
+    assert triples == [
+        ["l1", "l2", "l3"], ["l1", "l2", "l4"], ["l1", "l2", "l5"], ["l1", "l2", "l6"],
+        ["l1", "l3", "l4"], ["l1", "l3", "l5"], ["l1", "l3", "l6"], ["l1", "l4", "l5"],
+        ["l1", "l4", "l6"], ["l1", "l5", "l6"],
+    ]
+    # distinct generators anticommute and any three of them anti-associate
+    assert {row["value"] for row in payload["sample_commutators"]} == {"-1"}
+    assert {row["value"] for row in payload["sample_associators"]} == {"-1"}
+
+
 def test_build_octonions_has_a_nontrivial_associator(capsys):
     payload = run_json(capsys, "build", "--z-order", "2", "--gammas", "-1,-1,-1")
     assert payload["order"] == 16

@@ -3,12 +3,17 @@
 Every survey in cdloops.analytics works on cosets of Z.  The oracles here
 are the element-level walks it used to run: they enumerate elements and
 multiply them with CDLoop.mul and CentralProduct.pmul, sharing no code with
-the coset kernel beyond twist_exp.
+the coset kernel beyond twist_exp.  The associativity surveys list each
+subspace of A/Z once; their oracles are the element walks and the coset
+triple dedupe that listing replaced.
 """
 
 import random
 import tracemalloc
+from fractions import Fraction
+from math import prod
 
+import numpy as np
 import pytest
 
 from cdloops import (
@@ -16,13 +21,18 @@ from cdloops import (
     Scalar,
     associativity_degree_brute,
     commutant,
+    commutant_coset_sizes,
+    commutativity_degree_brute,
+    coset_twist_matrix,
     generates_group,
     is_di_associative,
     make_product,
     make_scalar_group,
     moufang_identity_holds,
     rank_census_brute,
+    to_table,
 )
+from cdloops import analytics
 
 ORDERS = (2, 4, 6)
 
@@ -257,3 +267,199 @@ def test_commutant_at_sixteen_generators_builds_no_dense_table():
     # the scalars times its own coset and the identity's
     c = x.mask
     assert [A.element_index(y) for y in result] == [0, c, A.coset_count, A.coset_count + c]
+
+
+# -- products: element walks and the coset triple dedupe ---------------------------
+
+
+def random_product(rng: random.Random, order: int, m: int, n: int):
+    z = make_scalar_group(order)
+    return make_product(z, [random_loop(rng, order, n) for _ in range(m)])
+
+
+class ProductWalk:
+    """Element-level oracles for a product, over its pmul multiplication table.
+
+    Element i of penumerate() has element_index i, so the table's entries
+    index the same list.
+    """
+
+    def __init__(self, A):
+        self.elems = A.penumerate()
+        assert [A.element_index(x) for x in self.elems] == list(range(A.order))
+        self.T = np.array(
+            [[A.element_index(A.pmul(x, y)) for y in self.elems] for x in self.elems]
+        )
+        self.masks = [x.mask for x in self.elems]
+        self.by_span: dict = {}
+        self.by_masks: dict = {}
+
+    def closure(self, seed) -> np.ndarray:
+        inside = np.zeros(len(self.elems), dtype=bool)
+        inside[list(seed)] = True
+        inside[0] = True
+        while True:
+            current = np.flatnonzero(inside)
+            inside[self.T[np.ix_(current, current)]] = True
+            if inside.sum() == len(current):
+                return current
+
+    def generates_group(self, *picks) -> bool:
+        """Whether the subloop generated by the picked indices is associative.
+
+        Verdicts are shared by picks whose masks have one XOR span.
+        """
+        masks = tuple(self.masks[i] for i in picks)
+        if masks not in self.by_masks:
+            span = xor_span(masks)
+            if span not in self.by_span:
+                s = self.closure(picks)
+                a, b, c = s[:, None, None], s[:, None], s
+                T = self.T
+                self.by_span[span] = bool((T[T[a, b], c] == T[a, T[b, c]]).all())
+            self.by_masks[masks] = self.by_span[span]
+        return self.by_masks[masks]
+
+    def associativity_count(self) -> int:
+        size = len(self.elems)
+        return sum(
+            self.generates_group(i, j, k)
+            for i in range(size)
+            for j in range(size)
+            for k in range(size)
+        )
+
+    def di_associative(self) -> bool:
+        size = len(self.elems)
+        return all(self.generates_group(i, j) for i in range(size) for j in range(size))
+
+    def moufang(self) -> bool:
+        T = self.T
+        x, y, z = np.ogrid[: len(T), : len(T), : len(T)]
+        return bool((T[T[T[x, y], z], y] == T[x, T[y, T[z, y]]]).all())
+
+
+def triple_dedupe_oracle(A) -> int:
+    """The associativity survey's favorable count as it was first written:
+    every coset triple's span as a sorted row of 8 masks, deduped with a
+    void view, each distinct row judged on coset_twist_matrix(A)."""
+    size = A.coset_count
+    masks = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    rows = np.zeros((1, 1), dtype=masks.dtype)
+    for _ in range(3):
+        rows = np.repeat(rows, size, axis=0)
+        rows = np.hstack([rows, rows ^ np.tile(masks, len(rows) // size)[:, None]])
+    rows.sort(axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * 8))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    s = rows[first]
+    e, f, g = s[:, :, None, None], s[:, None, :, None], s[:, None, None]
+    t, order = coset_twist_matrix(A), A.z.order
+    ok = ((t[e, f] + t[e ^ f, g]) % order == (t[f, g] + t[e, f ^ g]) % order).all(
+        axis=(1, 2, 3)
+    )
+    return int(counts[ok].sum()) * order**3
+
+
+@pytest.mark.parametrize("order", (2, 4))
+@pytest.mark.parametrize("n", (1, 2))
+def test_product_surveys_match_the_element_walks(order, n):
+    rng = random.Random(80 + 10 * order + n)
+    for _ in range(2):
+        A = random_product(rng, order, 2, n)
+        walk = ProductWalk(A)
+        report = associativity_degree_brute(A)
+        assert (report.m, report.n, report.z_order) == (2, n, order)
+        assert report.total == A.order**3
+        assert report.favorable == walk.associativity_count(), A.describe()
+        assert is_di_associative(A) == walk.di_associative(), A.describe()
+        assert moufang_identity_holds(A) == walk.moufang(), A.describe()
+
+
+def test_product_moufang_and_di_associativity_match_the_walks_at_depth_three():
+    rng = random.Random(90)
+    for _ in range(2):
+        A = random_product(rng, 2, 2, 3)
+        walk = ProductWalk(A)
+        assert is_di_associative(A) == walk.di_associative(), A.describe()
+        assert moufang_identity_holds(A) == walk.moufang(), A.describe()
+
+
+def test_product_associativity_matches_the_triple_dedupe():
+    z = make_scalar_group(2)
+    octonions = make_product(z, [CDLoop.all_minus_one(z, 3)] * 2)
+    report = associativity_degree_brute(octonions)
+    assert report.degree == Fraction(1145, 2048)
+    assert report.favorable == triple_dedupe_oracle(octonions)
+    rng = random.Random(95)
+    for order, n in ((2, 2), (4, 2), (2, 3), (4, 3)):
+        A = random_product(rng, order, 2, n)
+        favorable = associativity_degree_brute(A).favorable
+        assert favorable == triple_dedupe_oracle(A), A.describe()
+
+
+@pytest.mark.parametrize("order, n", [(2, 4), (6, 4), (2, 5)])
+def test_loop_associativity_matches_the_triple_dedupe(order, n):
+    L = random_loop(random.Random(97 + order + n), order, n)
+    assert associativity_degree_brute(L).favorable == triple_dedupe_oracle(L.product)
+
+
+# -- the subspace lister ---------------------------------------------------------
+
+
+def gaussian_binomial(k: int, r: int) -> int:
+    """Number of r-dimensional subspaces of F2**k."""
+    top = prod(2 ** (k - i) - 1 for i in range(r))
+    return top // prod(2 ** (i + 1) - 1 for i in range(r))
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_spanning_triple_weights_sum_to_all_coset_triples(k):
+    _, dims = analytics._subspaces(k, 3)
+    assert int(analytics._SPANNING_TRIPLES[dims].sum()) == 8**k
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("k", range(7))
+def test_subspaces_are_listed_once_each(k, d):
+    spans, dims = analytics._subspaces(k, d)
+    assert spans.shape == (len(dims), 1 << d)
+    for r in range(d + 1):
+        assert int((dims == r).sum()) == gaussian_binomial(k, r), r
+    members = [frozenset(row.tolist()) for row in spans]
+    assert len(set(members)) == len(members)
+    i = np.arange(1 << d)
+    for row, r, span in zip(spans, dims, members):
+        assert len(span) == 1 << r
+        assert all(0 <= v < 1 << k for v in span)
+        # members XOR like their indices, which _associates relies on
+        assert (row[i[:, None] ^ i] == row[:, None] ^ row).all()
+
+
+# -- one coercion for every survey ------------------------------------------------
+
+
+SURVEYS = (
+    associativity_degree_brute,
+    commutant_coset_sizes,
+    commutativity_degree_brute,
+    is_di_associative,
+    moufang_identity_holds,
+    rank_census_brute,
+)
+
+
+@pytest.mark.parametrize("survey", SURVEYS + (to_table,))
+def test_surveys_take_a_loop_as_its_one_factor_product(survey):
+    L = random_loop(random.Random(7), 4, 3)
+    assert survey(L) == survey(L.product)
+    with pytest.raises(TypeError, match="expected CDLoop or CentralProduct, got tuple"):
+        survey((L,))
+
+
+def test_commutant_takes_a_loop_as_its_one_factor_product():
+    L = random_loop(random.Random(8), 2, 3)
+    x = L.generator(2)
+    assert commutant(L, x) == commutant(L.product, x)
+    with pytest.raises(TypeError, match="expected CDLoop or CentralProduct, got int"):
+        commutant(3, x)
