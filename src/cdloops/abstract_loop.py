@@ -42,12 +42,15 @@ class AbstractLoop:
     """
 
     def __init__(self, table, validate: bool = True):
-        arr = np.array(table, dtype=np.int64)
+        arr = np.array(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise TableFormatError(f"table must be square, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise TableFormatError("table is empty")
-        self.table = arr
+        # Casting would truncate floats and overflow on huge Python ints.
+        if arr.dtype.kind not in "iu":
+            raise TableFormatError(f"table entries must be integers, got {arr.dtype}")
+        self.table = arr = arr.astype(np.int64, copy=False)
         self.size = int(arr.shape[0])
         if validate:
             self._validate_latin()

@@ -31,6 +31,9 @@ from .central_product import CentralProduct, ProductElement, coset_twist_matrix
 # r = 0..3: the surjections F2**3 -> F2**r.
 _SPANNING_TRIPLES = np.array([1, 7, 42, 168])
 
+# Cap on the cells of one block of span rows' temporaries in _associates.
+_BLOCK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class DegreeReport:
@@ -200,15 +203,21 @@ def _associates(t: np.ndarray, order: int, spans: np.ndarray) -> np.ndarray:
     each row of span members (see generates_group), one verdict per row.
 
     t is a twist table whose index XOR matches mask XOR; each side's
-    exponent is a sum of two entries of t, which t's dtype holds.
+    exponent is a sum of two entries of t, which t's dtype holds.  Rows are
+    judged in blocks whose temporaries stay within _BLOCK_CELLS cells.
     """
-    e, f, g = spans[:, :, None, None], spans[:, None, :, None], spans[:, None, None]
-    same = (t[e, f] + t[e ^ f, g]) % order == (t[f, g] + t[e, f ^ g]) % order
-    return same.all(axis=(1, 2, 3))
+    block = max(1, _BLOCK_CELLS // spans.shape[1] ** 3)
+    verdicts = []
+    for start in range(0, len(spans), block):
+        s = spans[start : start + block]
+        e, f, g = s[:, :, None, None], s[:, None, :, None], s[:, None, None]
+        same = (t[e, f] + t[e ^ f, g]) % order == (t[f, g] + t[e, f ^ g]) % order
+        verdicts.append(same.all(axis=(1, 2, 3)))
+    return np.concatenate(verdicts)
 
 
 def generates_group(
-    L: CDLoop, x: ProductElement, y: ProductElement, z: ProductElement
+    A: CDLoop | CentralProduct, x: ProductElement, y: ProductElement, z: ProductElement
 ) -> bool:
     """True iff the subloop generated by {x, y, z} is a group.
 
@@ -216,17 +225,16 @@ def generates_group(
     the XOR-span of the three input masks, and associators never see the
     scalar parts, so the subloop is associative exactly when every mask
     triple from that span associates.  A finite associative subloop is a
-    group.  Span member i is the XOR of the input masks picked by the bits
-    of i, so the span's own 8 x 8 twist table indexes like the dense one.
+    group.  Span member i XORs the input mask tuples picked by the bits of
+    i, so the span's own 8 x 8 twist table indexes like the dense one.
     """
+    A = as_product(A)
+    span = [(0,) * A.m]
     for el in (x, y, z):
-        if el.product != L.product:
-            raise ValueError("element belongs to a different loop")
-    span = [0]
-    for mask in (x.mask, y.mask, z.mask):
-        span += [s ^ mask for s in span]
-    table = np.array([[L.twist_exp(a, b) for b in span] for a in span])
-    return bool(_associates(table, L.z.order, np.arange(8)[None])[0])
+        A._check_member(el)
+        span += [tuple(a ^ b for a, b in zip(s, el.masks)) for s in span]
+    table = np.array([[A._twist_sum(a, b) for b in span] for a in span])
+    return bool(_associates(table, A.z.order, np.arange(8)[None])[0])
 
 
 def _subspaces(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -80,17 +80,20 @@ class CentralProduct:
     def pmul(self, x: "ProductElement", y: "ProductElement") -> "ProductElement":
         self._check_member(x)
         self._check_member(y)
-        exp = x.scalar.exponent + y.scalar.exponent
-        for d, e, f in zip(self.factors, x.masks, y.masks):
-            exp += d.twist_exp(e, f)
+        exp = x.scalar.exponent + y.scalar.exponent + self._twist_sum(x.masks, y.masks)
         return self._result(exp, tuple(map(xor, x.masks, y.masks)))
 
     def pinv(self, x: "ProductElement") -> "ProductElement":
         self._check_member(x)
-        exp = -x.scalar.exponent
-        for d, e in zip(self.factors, x.masks):
-            exp -= d.twist_exp(e, e)
+        exp = -x.scalar.exponent - self._twist_sum(x.masks, x.masks)
         return self._result(exp, x.masks)
+
+    def _twist_sum(self, es: tuple[int, ...], fs: tuple[int, ...]) -> int:
+        """Unreduced sum of the factor twists t_i(e_i, f_i) over two mask tuples."""
+        exp = 0
+        for d, e, f in zip(self.factors, es, fs):
+            exp += d.twist_exp(e, f)
+        return exp
 
     def _result(self, exp: int, masks: tuple[int, ...]) -> "ProductElement":
         """The element (exp mod |Z|, masks), skipping ProductElement's checks.

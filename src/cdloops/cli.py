@@ -27,7 +27,7 @@ from .analytics import (
     rank_census_brute,
     rank_census_closed,
 )
-from .cdloop import CDLoop
+from .cdloop import MAX_GENERATORS, CDLoop, as_product
 from .central_product import CentralProduct, make_product
 from .decompose import factor_compatibility, match_factors, recover_factors
 from .errors import BudgetExceeded, DecompositionError, TableFormatError
@@ -113,33 +113,28 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_degrees(args) -> int:
-    z = make_scalar_group(args.z_order)
-    if args.kind == "commutativity":
-        if not args.factors:
-            raise ValueError("--kind commutativity requires --factors")
-        product = _parse_factors(z, args.factors)
-        brute = lambda: commutativity_degree_brute(product, args.max_elements)
-        closed = lambda: commutativity_degree_closed(product.m, product.n, z.order)
+    if args.n is not None and not 1 <= args.n <= MAX_GENERATORS:
+        raise ValueError(f"--n must be in 1..{MAX_GENERATORS}, got {args.n}")
+    if args.gammas or args.factors:
+        A = as_product(_build_descriptor(args))
+        if args.n not in (None, A.n):
+            raise ValueError(f"--n is {args.n} but the descriptor has depth {A.n}")
+    elif args.n is not None:
+        A = CDLoop.all_minus_one(make_scalar_group(args.z_order), args.n).product
     else:
-        if args.n is None:
-            raise ValueError("--kind associativity requires --n")
-        if args.gammas:
-            gammas = _parse_gammas(z, args.gammas)
-            if len(gammas) != args.n:
-                raise ValueError(
-                    f"--gammas lists {len(gammas)} scalars but --n is {args.n}"
-                )
-        else:
-            gammas = tuple(z.minus_one for _ in range(args.n))
-        loop = CDLoop(z, gammas)
-        all_minus = all(g == z.minus_one for g in gammas)
-        if args.method in ("closed", "both") and not all_minus:
+        raise ValueError("one of --n, --gammas or --factors is required")
+    if args.kind == "commutativity":
+        survey = commutativity_degree_brute
+        closed = lambda: commutativity_degree_closed(A.m, A.n, A.z.order)
+    else:
+        if args.method != "brute" and A.factors != (CDLoop.all_minus_one(A.z, A.n),):
             raise ValueError(
-                "the closed associativity formula covers only the all--1 "
-                "gamma vector; use --method brute for other gammas"
+                "the closed associativity formula covers only a single loop with "
+                "all gammas -1; use --method brute for other descriptors"
             )
-        brute = lambda: associativity_degree_brute(loop, args.max_elements)
-        closed = lambda: associativity_degree_closed(args.n, z.order)
+        survey = associativity_degree_brute
+        closed = lambda: associativity_degree_closed(A.n, A.z.order)
+    brute = lambda: survey(A, args.max_elements)
     if args.method == "brute":
         _emit({"kind": args.kind, **_report_json(brute())})
     elif args.method == "closed":
@@ -305,9 +300,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degrees", parents=[common], help="commutativity/associativity degrees")
     p.add_argument("--kind", choices=("commutativity", "associativity"), required=True)
     p.add_argument("--z-order", type=int, default=2)
-    p.add_argument("--factors", help="semicolon-separated gamma lists (commutativity)")
-    p.add_argument("--n", type=int, help="doubling depth (associativity)")
-    p.add_argument("--gammas", help="override gammas (associativity, brute only)")
+    p.add_argument("--factors", help="product: semicolon-separated gamma lists")
+    p.add_argument("--n", type=int, help="doubling depth; alone, the all -1 loop")
+    p.add_argument("--gammas", help="single loop: comma-separated scalars")
     p.add_argument("--method", choices=("brute", "closed", "both"), default="both")
     p.set_defaults(func=_cmd_degrees)
 

@@ -160,6 +160,24 @@ def test_latin_square_diagnostics():
         AbstractLoop([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     with pytest.raises(TableFormatError):
         AbstractLoop([[0, 1]])
+    for empty in ([], [[]]):
+        with pytest.raises(TableFormatError, match="^table must be square"):
+            AbstractLoop(empty)
+
+
+@pytest.mark.parametrize(
+    "table, dtype",
+    [
+        ([[0, 1.7], [1.2, 0]], "float64"),  # an int64 cast truncates it to a group
+        ([[True, False], [False, True]], "bool"),
+        ([[0, 2**70], [2**70, 0]], "object"),  # an int64 cast overflows
+    ],
+)
+@pytest.mark.parametrize("validate", (True, False))
+def test_non_integer_tables_are_rejected(table, dtype, validate):
+    message = f"^table entries must be integers, got {dtype}$"
+    with pytest.raises(TableFormatError, match=message):
+        AbstractLoop(table, validate=validate)
 
 
 def test_serialize_parse_round_trip():

@@ -391,3 +391,69 @@ def test_verify_under_a_small_budget_reports_skips(capsys):
     pivot = checks["decompose-pivot-order-invariance"]
     assert pivot["status"] == "info"
     assert "not compared" in pivot["actual"] and "True" not in pivot["actual"]
+
+
+# -- degrees: one descriptor for either kind ------------------------------------
+
+
+def test_degrees_rejects_an_n_that_disagrees_with_the_descriptor(capsys):
+    # --n must not pick a loop of its own and drop --factors without a word
+    code, out, err = run_cli(
+        capsys,
+        "degrees", "--kind", "associativity", "--n", "3",
+        "--factors", "-1,-1", "--method", "brute",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n is 3 but the descriptor has depth 2\n"
+
+
+def test_degrees_associativity_of_a_product(capsys):
+    payload = run_json(
+        capsys,
+        "degrees", "--kind", "associativity",
+        "--factors", "-1,-1,-1;-1,-1,-1", "--method", "brute",
+    )
+    assert payload["degree"]["num"] == 1145 and payload["degree"]["den"] == 2048
+    assert (payload["m"], payload["n"], payload["method"]) == (2, 3, "brute")
+
+
+def test_degrees_closed_associativity_refuses_a_product(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "degrees", "--kind", "associativity",
+        "--factors", "-1,-1,-1;-1,-1,-1", "--method", "both",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "--method brute" in err
+
+
+@pytest.mark.parametrize("descriptor", (["--gammas", "-1,-1"], ["--n", "2"]))
+def test_degrees_commutativity_of_one_loop(capsys, descriptor):
+    payload = run_json(
+        capsys, "degrees", "--kind", "commutativity", *descriptor, "--method", "both"
+    )
+    assert payload["brute"]["degree"] == {"num": 5, "den": 8, "decimal": "0.625"}
+    assert payload["brute"]["degree"] == payload["closed"]["degree"]
+    assert payload["brute"]["m"] == 1
+    assert payload["agree"] is True
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (
+        ["--n", "0"],
+        ["--n", "-1"],
+        ["--n", "17"],
+        ["--gammas", "-1,-1", "--factors", "-1,-1;-1,-1"],
+        [],
+    ),
+)
+@pytest.mark.parametrize("kind", ("commutativity", "associativity"))
+def test_degrees_descriptor_errors_are_one_line(capsys, kind, flags):
+    code, out, err = run_cli(capsys, "degrees", "--kind", kind, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -313,12 +313,17 @@ class ProductWalk:
         if masks not in self.by_masks:
             span = xor_span(masks)
             if span not in self.by_span:
-                s = self.closure(picks)
-                a, b, c = s[:, None, None], s[:, None], s
-                T = self.T
-                self.by_span[span] = bool((T[T[a, b], c] == T[a, T[b, c]]).all())
+                self.by_span[span] = self.closure_associates(picks)
             self.by_masks[masks] = self.by_span[span]
         return self.by_masks[masks]
+
+    def closure_associates(self, picks) -> bool:
+        """Whether the subloop generated by the picked indices is associative,
+        judged on that subloop's own table without appeal to spans."""
+        s = self.closure(picks)
+        a, b, c = s[:, None, None], s[:, None], s
+        T = self.T
+        return bool((T[T[a, b], c] == T[a, T[b, c]]).all())
 
     def associativity_count(self) -> int:
         size = len(self.elems)
@@ -404,6 +409,59 @@ def test_loop_associativity_matches_the_triple_dedupe(order, n):
     assert associativity_degree_brute(L).favorable == triple_dedupe_oracle(L.product)
 
 
+@pytest.mark.parametrize("order", (2, 4))
+def test_product_generates_group_matches_the_closure_walk(order):
+    rng = random.Random(100 + order)
+    verdicts = set()
+    for n in (1, 2, 3):
+        A = random_product(rng, order, 2, n)
+        walk = ProductWalk(A)
+        for _ in range(100):
+            picks = [rng.randrange(A.order) for _ in range(3)]
+            verdict = generates_group(A, *(walk.elems[i] for i in picks))
+            assert verdict == walk.closure_associates(picks), (A.describe(), picks)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_generates_group_rejects_an_element_of_another_product():
+    z = make_scalar_group(2)
+    L = CDLoop.all_minus_one(z, 3)
+    A = make_product(z, [L, L])
+    x, l1, l2 = A.element_at(9), L.generator(1), L.generator(2)
+    with pytest.raises(ValueError, match="different product"):
+        generates_group(A, x, x, l1)
+    with pytest.raises(ValueError, match="different product"):
+        generates_group(L, l1, l2, x)
+
+
+# -- blocked span verdicts --------------------------------------------------------
+
+
+def test_blocked_verdicts_match_one_block(monkeypatch):
+    A = random_product(random.Random(99), 2, 2, 3)
+    t, spans = coset_twist_matrix(A), analytics._subspaces(6, 3)[0]
+    whole = analytics._associates(t, A.z.order, spans)
+    assert whole.any() and not whole.all()
+    report, di = associativity_degree_brute(A), is_di_associative(A)
+    # blocks of 3, 1 and 5 rows: the last block is ragged in the first and
+    # third case
+    for cells in (3 * 8**3, 1, 5 * 8**3 + 7):
+        monkeypatch.setattr(analytics, "_BLOCK_CELLS", cells)
+        assert np.array_equal(analytics._associates(t, A.z.order, spans), whole)
+        assert associativity_degree_brute(A) == report
+        assert is_di_associative(A) == di
+
+
+def test_associativity_survey_memory_is_bounded_by_blocks():
+    # one broadcast over all 14606 listed subspaces of F2**7 would peak above 20 MiB
+    z = make_scalar_group(2)
+    L = CDLoop.all_minus_one(z, 7)
+    report, peak = traced_peak(lambda: associativity_degree_brute(L, 1 << 21))
+    assert report.degree == Fraction(14113, 262144)
+    assert peak < 8 << 20
+
+
 # -- the subspace lister ---------------------------------------------------------
 
 
@@ -455,6 +513,16 @@ def test_surveys_take_a_loop_as_its_one_factor_product(survey):
     assert survey(L) == survey(L.product)
     with pytest.raises(TypeError, match="expected CDLoop or CentralProduct, got tuple"):
         survey((L,))
+
+
+def test_generates_group_takes_a_loop_as_its_one_factor_product():
+    L = random_loop(random.Random(9), 4, 3)
+    l1, l2, l3 = (L.generator(i) for i in (1, 2, 3))
+    k = L.mul(l1, l2)
+    for triple in ((l1, l2, l3), (l1, l2, k)):
+        assert generates_group(L, *triple) == generates_group(L.product, *triple)
+    with pytest.raises(TypeError, match="expected CDLoop or CentralProduct, got tuple"):
+        generates_group((L,), l1, l2, l3)
 
 
 def test_commutant_takes_a_loop_as_its_one_factor_product():
