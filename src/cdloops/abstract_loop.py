@@ -16,6 +16,7 @@ numpy passes per node.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -55,12 +56,6 @@ class AbstractLoop:
         if validate:
             self._validate_latin()
         self.identity = self._find_identity()
-        self._center: list[int] | None = None
-        self._orders: list[int] | None = None
-        self._commutant_counts: np.ndarray | None = None
-        self._signature_cache: list[tuple[int, int, int]] | None = None
-        self._ladder_cache: list[int] | None = None
-        self._program_cache: list[_Step] | None = None
 
     # -- validation ------------------------------------------------------------
 
@@ -119,17 +114,18 @@ class AbstractLoop:
         and Q = R, so any two imply the third.  Only the left law
         (xa)b = x(ab) and the middle law (xa)b = a(xb) are checked.
         """
-        if self._center is None:
-            arr = self.table
-            comm = np.array(self.commutant_sizes())
-            out = []
-            for x in np.flatnonzero(comm == self.size):
-                fx = arr[x]
-                xa_b = arr[fx]
-                if np.array_equal(xa_b, fx[arr]) and np.array_equal(xa_b, arr[:, fx]):
-                    out.append(int(x))
-            self._center = out
         return list(self._center)
+
+    @cached_property
+    def _center(self) -> list[int]:
+        arr = self.table
+        out = []
+        for x in np.flatnonzero(self._commutant_counts == self.size):
+            fx = arr[x]
+            xa_b = arr[fx]
+            if np.array_equal(xa_b, fx[arr]) and np.array_equal(xa_b, arr[:, fx]):
+                out.append(int(x))
+        return out
 
     def closure(self, seed) -> set[int]:
         """Smallest subset containing the identity and seed, closed under mul."""
@@ -147,26 +143,30 @@ class AbstractLoop:
     def element_orders(self) -> list[int]:
         """Left-power order of each element: least k with x^(k) = identity,
         where x^(k+1) = x * x^(k)."""
-        if self._orders is None:
-            n = self.size
-            orders = np.zeros(n, dtype=np.int64)
-            idx = np.arange(n)
-            power = idx.copy()
-            k = 1
-            while (orders == 0).any():
-                hit = (power == self.identity) & (orders == 0)
-                orders[hit] = k
-                power = self.table[idx, power]
-                k += 1
-            self._orders = [int(o) for o in orders]
-        return list(self._orders)
+        return self._orders.tolist()
+
+    @cached_property
+    def _orders(self) -> np.ndarray:
+        n = self.size
+        orders = np.zeros(n, dtype=np.int64)
+        idx = np.arange(n)
+        power = idx.copy()
+        k = 1
+        while (orders == 0).any():
+            hit = (power == self.identity) & (orders == 0)
+            orders[hit] = k
+            power = self.table[idx, power]
+            k += 1
+        return orders
 
     def commutant_sizes(self) -> list[int]:
         """|{y : x * y = y * x}| for every x."""
-        if self._commutant_counts is None:
-            arr = self.table
-            self._commutant_counts = (arr == arr.T).sum(axis=1)
-        return [int(c) for c in self._commutant_counts]
+        return self._commutant_counts.tolist()
+
+    @cached_property
+    def _commutant_counts(self) -> np.ndarray:
+        arr = self.table
+        return (arr == arr.T).sum(axis=1)
 
     def subloop(self, indices) -> "AbstractLoop":
         """Induced loop on a closed subset, elements renumbered in sorted order."""
@@ -190,17 +190,15 @@ class AbstractLoop:
 
     # -- signatures for isomorphism search ------------------------------------------
 
+    @cached_property
     def _signatures(self) -> list[tuple[int, int, int]]:
-        if self._signature_cache is None:
-            arr = self.table
-            orders = self.element_orders()
-            comm = self.commutant_sizes()
-            assoc = [
-                int((arr[arr[x]] == arr[x, arr]).sum()) for x in range(self.size)
-            ]
-            self._signature_cache = list(zip(orders, comm, assoc))
-        return self._signature_cache
+        arr = self.table
+        assoc = [
+            int((arr[arr[x]] == arr[x, arr]).sum()) for x in range(self.size)
+        ]
+        return list(zip(self.element_orders(), self.commutant_sizes(), assoc))
 
+    @cached_property
     def _generator_ladder(self) -> list[int]:
         """Greedy generating sequence, each pick growing the closure the most.
 
@@ -208,26 +206,25 @@ class AbstractLoop:
         candidate's closure at the same step is skipped: its own closure is
         contained in that one, so it can never strictly win.
         """
-        if self._ladder_cache is None:
-            known = self.closure(())
-            gens: list[int] = []
-            while len(known) < self.size:
-                best_g, best_closure = -1, known
-                covered = set(known)
-                for g in range(self.size):
-                    if g in covered:
-                        continue
-                    grown = self.closure(list(known) + [g])
-                    covered |= grown
-                    if len(grown) > len(best_closure):
-                        best_g, best_closure = g, grown
-                        if len(grown) == self.size:
-                            break
-                gens.append(best_g)
-                known = best_closure
-            self._ladder_cache = gens
-        return list(self._ladder_cache)
+        known = self.closure(())
+        gens: list[int] = []
+        while len(known) < self.size:
+            best_g, best_closure = -1, known
+            covered = set(known)
+            for g in range(self.size):
+                if g in covered:
+                    continue
+                grown = self.closure(list(known) + [g])
+                covered |= grown
+                if len(grown) > len(best_closure):
+                    best_g, best_closure = g, grown
+                    if len(grown) == self.size:
+                        break
+            gens.append(best_g)
+            known = best_closure
+        return gens
 
+    @cached_property
     def _word_program(self) -> list[_Step]:
         """The ladder as words: how each element is reached from the generators.
 
@@ -236,30 +233,28 @@ class AbstractLoop:
         the set in waves; each wave is (xs, us, vs) with xs[i] = us[i] * vs[i]
         for us, vs already in the set.
         """
-        if self._program_cache is None:
-            arr = self.table
-            inside = np.zeros(self.size, dtype=bool)
-            inside[self.identity] = True
-            program: list[_Step] = []
-            for g in self._generator_ladder():
-                inside[g] = True
-                waves = []
-                while True:
-                    S = np.flatnonzero(inside)
-                    products = arr[np.ix_(S, S)].ravel()
-                    fresh = np.flatnonzero(~inside[products])
-                    if fresh.size == 0:
-                        break
-                    xs, first = np.unique(products[fresh], return_index=True)
-                    cell = fresh[first]
-                    waves.append((xs, S[cell // S.size], S[cell % S.size]))
-                    inside[xs] = True
-                new = np.concatenate([[g]] + [xs for xs, _, _ in waves])
-                program.append(
-                    _Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)])
-                )
-            self._program_cache = program
-        return self._program_cache
+        arr = self.table
+        inside = np.zeros(self.size, dtype=bool)
+        inside[self.identity] = True
+        program: list[_Step] = []
+        for g in self._generator_ladder:
+            inside[g] = True
+            waves = []
+            while True:
+                S = np.flatnonzero(inside)
+                products = arr[np.ix_(S, S)].ravel()
+                fresh = np.flatnonzero(~inside[products])
+                if fresh.size == 0:
+                    break
+                xs, first = np.unique(products[fresh], return_index=True)
+                cell = fresh[first]
+                waves.append((xs, S[cell // S.size], S[cell % S.size]))
+                inside[xs] = True
+            new = np.concatenate([[g]] + [xs for xs, _, _ in waves])
+            program.append(
+                _Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)])
+            )
+        return program
 
 
 class _Step(NamedTuple):
@@ -382,9 +377,7 @@ def fixes_center_setwise(left: AbstractLoop, right: AbstractLoop, mapping) -> bo
     return {mapping[c] for c in left.center()} == set(right.center())
 
 
-def find_isomorphism(
-    left: AbstractLoop, right: AbstractLoop, max_size: int = MAX_ISO_SIZE
-) -> list[int] | None:
+def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | None:
     """Search for an isomorphism left -> right; returns the index map or None.
 
     Elements are classed by (left-power order, commutant size, count of
@@ -398,19 +391,20 @@ def find_isomorphism(
     then the x in S with a * x = b has phi(x) = e, so x has order 1 like e
     and is the identity.  Each test is necessary for an isomorphism, so the
     search is exhaustive: None means none exists.  Any witness found is
-    re-verified over the full table.
+    re-verified over the full table.  Tables over MAX_ISO_SIZE elements are
+    refused with BudgetExceeded.
     """
     if left.size != right.size:
         return None
-    if left.size > max_size:
+    if left.size > MAX_ISO_SIZE:
         raise BudgetExceeded(
-            f"isomorphism search supports tables up to {max_size} elements, "
+            f"isomorphism search supports tables up to {MAX_ISO_SIZE} elements, "
             f"got {left.size}",
             required=left.size,
-            budget=max_size,
+            budget=MAX_ISO_SIZE,
         )
-    sig_left = left._signatures()
-    sig_right = right._signatures()
+    sig_left = left._signatures
+    sig_right = right._signatures
     if sorted(sig_left) != sorted(sig_right):
         return None
 
@@ -419,7 +413,7 @@ def find_isomorphism(
     cls_left = np.array([classes[sig] for sig in sig_left])
     cls_right = np.array([classes[sig] for sig in sig_right])
     t2 = right.table
-    program = left._word_program()
+    program = left._word_program
 
     def survivors(step: _Step, row: np.ndarray, cands: np.ndarray):
         C = np.repeat(row[None, :], cands.size, axis=0)

@@ -54,6 +54,8 @@ class CDLoop:
     @classmethod
     def all_minus_one(cls, z: ScalarGroup, n: int) -> "CDLoop":
         """The loop (-1, ..., -1)_Z with n doubling steps."""
+        if not 0 <= n <= MAX_GENERATORS:
+            raise ValueError(f"n must be in 0..{MAX_GENERATORS}, got {n}")
         return cls(z, tuple(z.minus_one for _ in range(n)))
 
     @property

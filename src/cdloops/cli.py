@@ -27,6 +27,7 @@ from .analytics import (
     rank_census_brute,
     rank_census_closed,
 )
+from .budget import resolve_max_elements
 from .cdloop import MAX_GENERATORS, CDLoop, as_product
 from .central_product import CentralProduct, make_product
 from .decompose import factor_compatibility, match_factors, recover_factors
@@ -234,7 +235,7 @@ def _cmd_import(args) -> int:
 def _cmd_decompose(args) -> int:
     with open(args.table) as fh:
         loop = parse_loop_table(fh.read(), args.max_elements)
-    dec = recover_factors(loop, args.n, pivot_order=args.pivot_order)
+    dec = recover_factors(loop, args.n)
     payload = {
         "n": dec.n,
         "m": dec.m,
@@ -246,7 +247,7 @@ def _cmd_decompose(args) -> int:
     if args.match_against:
         with open(args.match_against) as fh:
             other_loop = parse_loop_table(fh.read(), args.max_elements)
-        other = recover_factors(other_loop, args.n, pivot_order=args.pivot_order)
+        other = recover_factors(other_loop, args.n)
         pairs = factor_compatibility(dec, other)
         sigma = match_factors(dec, other, pairs) if dec.m == other.m else None
         payload["match"] = {"sigma": sigma, "pairs": pairs}
@@ -334,9 +335,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--match-against", help="second table to match factor-wise")
-    p.add_argument(
-        "--pivot-order", choices=("ascending", "descending"), default="ascending"
-    )
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("verify", parents=[common], help="run the cross-check suite")
@@ -375,6 +373,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_fuse_dash_values(list(argv)))
     try:
+        # Also for subcommands that never charge the budget, like build.
+        resolve_max_elements(args.max_elements)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -10,13 +10,15 @@ Given only an N x N table and the doubling depth n, the pipeline is:
     the ratio 1/2, which is why those depths are rejected.
  3. recover_factors: a rank-1 pivot x lies in a unique factor D_j, and the
     rank-1 elements failing to commute with x are exactly the rest of
-    D_j outside Z<x>; closing over them and the center rebuilds D_j.
+    D_j outside Z<x>; closing over them and the center rebuilds D_j.  The
+    lowest rank-1 element not yet in a factor seeds the next one.
  4. match_factors: factor lists of two decompositions are matched up to
     isomorphism, from the factor_compatibility matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,23 +106,15 @@ class Decomposition:
     factors: list[AbstractLoop]
 
     def rank_histogram(self) -> list[int]:
-        counts = [0] * (self.m + 1)
-        for r in self.ranks:
-            counts[r] += 1
-        return counts
+        return np.bincount(self.ranks, minlength=self.m + 1).tolist()
 
 
-def recover_factors(
-    loop: AbstractLoop, n: int, pivot_order: str = "ascending"
-) -> Decomposition:
+def recover_factors(loop: AbstractLoop, n: int) -> Decomposition:
     """Split a table into its m central factors of depth n.
 
-    pivot_order chooses which unassigned rank-1 element seeds the next
-    factor; "ascending" (the default) and "descending" scan from opposite
-    ends.  The result is independent of the choice for genuine products.
+    Rank-1 pivots are scanned upward; for a genuine product the split does
+    not depend on the scan order, only the order of the factors does.
     """
-    if pivot_order not in ("ascending", "descending"):
-        raise ValueError(f"pivot_order must be ascending or descending, got {pivot_order!r}")
     m, z_size = infer_parameters(loop, n)
     ranks = _ranks(loop, n, m, range(loop.size))
     center = loop.center()
@@ -129,11 +123,8 @@ def recover_factors(
     assigned = np.zeros(loop.size, dtype=bool)
     assigned[center] = True
     rank1 = np.array(ranks) == 1
-    pivots = [x for x in range(loop.size) if rank1[x]]
-    if pivot_order == "descending":
-        pivots.reverse()
     subsets: list[list[int]] = []
-    for pivot in pivots:
+    for pivot in np.flatnonzero(rank1).tolist():
         if assigned[pivot]:
             continue
         if len(subsets) == m:
@@ -191,31 +182,19 @@ def match_factors(
 ) -> list[int] | None:
     """Pair up factors of two decompositions by isomorphism.
 
-    Returns sigma with left factor j isomorphic to right factor sigma[j],
-    or None when no perfect matching exists.  A caller that already holds
-    factor_compatibility(left, right) passes it as `compatible`, so no
-    isomorphism search runs twice.
+    Returns the lexicographically first sigma with left factor j isomorphic
+    to right factor sigma[j], or None when no perfect matching exists.  All
+    m! orders may be tried: a table within the budget has few factors.  A
+    caller that already holds factor_compatibility(left, right) passes it
+    as `compatible`, so no isomorphism search runs twice.
     """
     if left.m != right.m:
         raise ValueError(
             f"decompositions have different factor counts: {left.m} and {right.m}"
         )
-    m = left.m
     if compatible is None:
         compatible = factor_compatibility(left, right)
-    sigma = [-1] * m
-    used = [False] * m
-    def backtrack(j: int) -> bool:
-        if j == m:
-            return True
-        for k in range(m):
-            if not used[k] and compatible[j][k]:
-                sigma[j] = k
-                used[k] = True
-                if backtrack(j + 1):
-                    return True
-                used[k] = False
-        return False
-    if not backtrack(0):
-        return None
-    return sigma
+    for sigma in itertools.permutations(range(left.m)):
+        if all(compatible[j][k] for j, k in enumerate(sigma)):
+            return list(sigma)
+    return None

@@ -40,6 +40,7 @@ from .analytics import (
     rank_census_closed,
     two_factor_commutativity_closed,
 )
+from .budget import resolve_max_elements
 from .cdloop import CDLoop
 from .central_product import make_product
 from .decompose import DecompositionError, match_factors, recover_factors
@@ -82,8 +83,7 @@ class VerifyReport:
 
 
 class _Runner:
-    def __init__(self, max_elements: int | None):
-        self.max_elements = max_elements
+    def __init__(self):
         self.report = VerifyReport()
 
     def check(self, name: str, source: str, expected, compute) -> None:
@@ -171,9 +171,12 @@ def run_verify(
     seed: int = 2024,
     max_elements: int | None = None,
 ) -> VerifyReport:
-    """Run the whole cross-check suite and return its report."""
-    r = _Runner(max_elements)
-    me = max_elements
+    """Run the whole cross-check suite and return its report.
+
+    An invalid budget raises ValueError before the first check runs.
+    """
+    me = resolve_max_elements(max_elements)
+    r = _Runner()
     rng = random.Random(seed)
 
     # -- closed forms against reference and hand-derived values ---------------
@@ -613,10 +616,12 @@ def run_verify(
                     if find_isomorphism(D, direct) is None:
                         return f"trial {t}: factor {j} differs from its constructor"
                 if t == 0:
-                    desc = recover_factors(parsed, n, pivot_order="descending")
-                    same = sorted(map(tuple, desc.subsets)) == sorted(
-                        map(tuple, dec.subsets)
-                    )
+                    # Upward pivots on the reversed labels scan parsed downward.
+                    top = parsed.size - 1
+                    desc = recover_factors(parsed.relabel(range(top, -1, -1)), n)
+                    same = sorted(
+                        tuple(sorted(top - x for x in s)) for s in desc.subsets
+                    ) == sorted(map(tuple, dec.subsets))
                     pivot_partitions_agree = same and pivot_partitions_agree is not False
             return "all trials succeeded"
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,20 @@ def test_basic_shape():
 def test_generator_count_cap():
     with pytest.raises(ValueError):
         CDLoop.all_minus_one(Z2, 17)
+
+
+def test_all_minus_one_checks_n_before_building_gammas():
+    for n in (-1, 17):
+        with pytest.raises(ValueError, match=f"n must be in 0..16, got {n}"):
+            CDLoop.all_minus_one(Z2, n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            CDLoop.all_minus_one(Z2, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gamma_group_must_match():

@@ -241,10 +241,13 @@ def test_decompose_cli_match_against(capsys, tmp_path):
     payload = run_json(
         capsys,
         "decompose", "--table", str(left), "--n", "3",
-        "--match-against", str(right), "--pivot-order", "descending",
+        "--match-against", str(right),
     )
     assert payload["match"] is not None
     assert sorted(payload["match"]["sigma"]) == [0, 1]
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--table", str(left), "--n", "3", "--pivot-order", "descending"])
+    assert exc.value.code == 2
 
 
 def test_decompose_match_against_searches_each_factor_pair_once(
@@ -391,6 +394,21 @@ def test_verify_under_a_small_budget_reports_skips(capsys):
     pivot = checks["decompose-pivot-order-invariance"]
     assert pivot["status"] == "info"
     assert "not compared" in pivot["actual"] and "True" not in pivot["actual"]
+
+
+def test_verify_rejects_an_invalid_budget_before_any_check(capsys, monkeypatch):
+    # build charges no budget, and is held to the same rule
+    for argv in (["verify"], ["build", "--z-order", "2", "--gammas", "-1,-1"]):
+        code, out, err = run_cli(capsys, *argv, "--max-elements", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: budget must be positive, got 0\n"
+    with pytest.raises(ValueError, match="budget must be positive, got 0"):
+        cdloops.run_verify(max_elements=0)
+    monkeypatch.setenv("CDL_MAX_ELEMENTS", "abc")
+    for argv in (["verify"], ["build", "--z-order", "2", "--gammas", "-1,-1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: CDL_MAX_ELEMENTS must be an integer, got 'abc'\n"
 
 
 # -- degrees: one descriptor for either kind ------------------------------------

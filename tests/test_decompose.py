@@ -127,11 +127,13 @@ def test_round_trip_with_relabeling_and_mixed_gammas():
 
 
 def test_pivot_order_changes_nothing_essential():
-    asc = recover_factors(T2, 3, pivot_order="ascending")
-    desc = recover_factors(T2, 3, pivot_order="descending")
-    assert sorted(map(sorted, asc.subsets)) == sorted(map(sorted, desc.subsets))
-    with pytest.raises(ValueError):
-        recover_factors(T2, 3, pivot_order="sideways")
+    # Upward pivots on the reversed labels scan T2's pivots downward.
+    asc = recover_factors(T2, 3)
+    top = T2.size - 1
+    desc = recover_factors(T2.relabel(range(top, -1, -1)), 3)
+    back = [sorted(top - x for x in subset) for subset in desc.subsets]
+    assert sorted(asc.subsets) == sorted(back)
+    assert asc.subsets != back  # the scans seed the factors in opposite orders
 
 
 def test_match_factors_finds_the_factor_swap():
@@ -158,6 +160,17 @@ def test_match_factors_failure_modes():
     single = recover_factors(to_table(O), 3)
     with pytest.raises(ValueError):
         match_factors(single, both_o)
+
+
+def test_match_factors_returns_the_lexicographically_first_matching():
+    dec = recover_factors(to_table(make_product(Z2, [O, O, O])), 3)
+    T, F = True, False
+    # Three perfect matchings, (0, 2, 1), (1, 2, 0) and (2, 0, 1).
+    assert match_factors(dec, dec, [[T, T, T], [T, F, T], [T, T, F]]) == [0, 2, 1]
+    # Two, (1, 0, 2) and (1, 2, 0); sigma[0] = 0 admits none.
+    assert match_factors(dec, dec, [[T, T, F], [T, F, T], [T, F, T]]) == [1, 0, 2]
+    # Rows 1 and 2 both need column 0.
+    assert match_factors(dec, dec, [[T, T, T], [T, F, F], [T, F, F]]) is None
 
 
 def test_factor_tables_are_loops_in_their_own_right():

@@ -45,8 +45,8 @@ def reference_ladder(loop: AbstractLoop) -> list[int]:
 def reference_find_isomorphism(left: AbstractLoop, right: AbstractLoop):
     if left.size != right.size:
         return None
-    sig_left = left._signatures()
-    sig_right = right._signatures()
+    sig_left = left._signatures
+    sig_right = right._signatures
     if sorted(sig_left) != sorted(sig_right):
         return None
     n = left.size
@@ -142,7 +142,7 @@ def test_verdicts_match_the_reference_on_every_n4_z2_pair():
         assert (got is None) == (want is None), (a, b)
         if got is not None:
             assert verify_isomorphism(left, right, got)
-        elif sorted(left._signatures()) == sorted(right._signatures()):
+        elif sorted(left._signatures) == sorted(right._signatures):
             equal_signatures_only += 1
     # The pairs that only an exhaustive search can tell apart.
     assert equal_signatures_only == 7
@@ -171,7 +171,7 @@ def test_a_non_isomorphic_relabeled_pair_is_rejected_like_the_reference():
     rng = random.Random(7)
     left = N4_Z2[(0, 0, 0, 0)]
     right = fixed_zero_relabel(N4_Z2[(1, 1, 1, 0)], rng)
-    assert sorted(left._signatures()) == sorted(right._signatures())
+    assert sorted(left._signatures) == sorted(right._signatures)
     assert reference_find_isomorphism(left, right) is None
     assert find_isomorphism(left, right) is None
 
@@ -198,15 +198,17 @@ def test_trivial_and_guarded_inputs():
     z4 = to_table(CDLoop(make_scalar_group(4), ()))
     assert find_isomorphism(z4, z4) == [0, 1, 2, 3]
     assert find_isomorphism(z4, N4_Z2[(0, 0, 0, 0)]) is None
-    with pytest.raises(BudgetExceeded):
-        find_isomorphism(N4_Z2[(1, 1, 1, 1)], N4_Z2[(1, 1, 1, 1)], max_size=16)
+    big = to_table(CDLoop.all_minus_one(Z2, 8))
+    assert big.size == 512
+    with pytest.raises(BudgetExceeded, match="up to 256 elements, got 512"):
+        find_isomorphism(big, big)
 
 
 def test_word_program_rebuilds_every_element_from_the_ladder():
     rng = random.Random(3)
     loop = fixed_zero_relabel(to_table(random_product(rng, 2, 2, 4)), rng)
-    program = loop._word_program()
-    assert [step.g for step in program] == loop._generator_ladder()
+    program = loop._word_program
+    assert [step.g for step in program] == loop._generator_ladder
     known = {loop.identity}
     for step in program:
         assert step.g not in known
@@ -229,4 +231,4 @@ def test_ladder_equals_the_reference_greedy_ladder(dims):
     assert table.size <= 256
     for loop in (table, fixed_zero_relabel(table, rng)):
         fresh = AbstractLoop(loop.table, validate=False)
-        assert fresh._generator_ladder() == reference_ladder(loop)
+        assert fresh._generator_ladder == reference_ladder(loop)
