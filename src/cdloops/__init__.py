@@ -46,7 +46,7 @@ from .decompose import (
     recover_factors,
 )
 from .errors import BudgetExceeded, DecompositionError, TableFormatError
-from .scalars import Scalar, ScalarGroup, make_scalar_group, scalar_inv, scalar_mul
+from .scalars import Scalar, ScalarGroup, make_scalar_group
 from .verify import CheckResult, VerifyReport, run_verify
 
 __version__ = "0.1.0"
@@ -95,8 +95,6 @@ __all__ = [
     "recover_factors",
     "resolve_max_elements",
     "run_verify",
-    "scalar_inv",
-    "scalar_mul",
     "serialize_loop_table",
     "to_table",
     "two_factor_commutativity_closed",

@@ -31,7 +31,8 @@ from .central_product import CentralProduct, ProductElement, coset_twist_matrix
 # r = 0..3: the surjections F2**3 -> F2**r.
 _SPANNING_TRIPLES = np.array([1, 7, 42, 168])
 
-# Cap on the cells of one block of span rows' temporaries in _associates.
+# Cap on the cells of one block of temporaries in _associates and
+# associator_exponent_image.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -305,7 +306,8 @@ def associator_exponent_image(
     """Scalar exponents of ((x*y)*z) / (x*(y*z)) over all triples.
 
     As with commutators, scalar parts cancel, so coset triples cover the
-    full element-triple image.
+    full element-triple image.  Cosets e are walked in blocks whose
+    temporaries stay within _BLOCK_CELLS cells.
     """
     A = as_product(A)
     size = A.coset_count
@@ -313,13 +315,15 @@ def associator_exponent_image(
     twist = coset_twist_matrix(A).astype(np.int64)
     combo = np.arange(size)
     xor = combo[:, None] ^ combo[None, :]
-    exps = (
-        twist[:, :, None]
-        + twist[xor, :]
-        - twist[None, :, :]
-        - twist[combo[:, None, None], xor[None, :, :]]
-    ) % A.z.order
-    return {int(v) for v in np.unique(exps)}
+    block = max(1, _BLOCK_CELLS // size**2)
+    image = set()
+    for start in range(0, size, block):
+        e = combo[start : start + block, None]
+        exps = twist[e ^ combo] - twist[e[:, :, None], xor]
+        exps += twist[e, combo][:, :, None] - twist
+        exps %= A.z.order
+        image.update(np.unique(exps).tolist())
+    return image
 
 
 # -- structural identity checks -------------------------------------------------

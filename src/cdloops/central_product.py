@@ -12,7 +12,8 @@ tables, which coset_twist_matrix builds in one broadcast per factor.
 A single Cayley-Dickson loop is the one-factor case (CDLoop.product), so
 ProductElement is the library's only element type and pmul, pinv,
 pcommutator and passociator its only arithmetic.  Factors are duck-typed
-descriptors: this module reads their z, n, twist_exp and twist_table.
+descriptors: this module reads their z, n, twist_exp, twist_table and
+_check_mask.
 """
 
 from __future__ import annotations
@@ -119,11 +120,6 @@ class CentralProduct:
         right = self.pmul(x, self.pmul(y, z))
         return self.pmul(left, self.pinv(right))
 
-    def rank(self, x: "ProductElement") -> int:
-        """Number of factors the element meets outside Z."""
-        self._check_member(x)
-        return sum(1 for e in x.masks if e)
-
     def embed(self, factor_index: int, x: "ProductElement") -> "ProductElement":
         """Canonical image of an element of factor D_i (1-based i), given
         as an element of D_i.product."""
@@ -170,7 +166,7 @@ class CentralProduct:
         return cosets[:, None] >> self.n * np.arange(self.m) & (1 << self.n) - 1
 
     def coset_ranks(self) -> np.ndarray:
-        """Rank of every coset of Z (see rank), indexed by combined mask."""
+        """Rank of every coset of Z (ProductElement.rank), by combined mask."""
         return (self._split_masks(np.arange(self.coset_count)) != 0).sum(axis=1)
 
     def split_mask(self, combined: int) -> tuple[int, ...]:
@@ -217,8 +213,7 @@ class ProductElement:
                 f"expected {self.product.m} masks, got {len(self.masks)}"
             )
         for d, e in zip(self.product.factors, self.masks):
-            if not 0 <= e < (1 << d.n):
-                raise ValueError(f"mask {e:#x} does not fit in {d.n} bits")
+            d._check_mask(e)
 
     @property
     def mask(self) -> int:
@@ -232,7 +227,8 @@ class ProductElement:
 
     @property
     def rank(self) -> int:
-        return self.product.rank(self)
+        """Number of factors the element meets outside Z."""
+        return sum(1 for e in self.masks if e)
 
     def __mul__(self, other: "ProductElement") -> "ProductElement":
         return self.product.pmul(self, other)

@@ -249,7 +249,7 @@ def _cmd_decompose(args) -> int:
             other_loop = parse_loop_table(fh.read(), args.max_elements)
         other = recover_factors(other_loop, args.n)
         pairs = factor_compatibility(dec, other)
-        sigma = match_factors(dec, other, pairs) if dec.m == other.m else None
+        sigma = match_factors(pairs) if dec.m == other.m else None
         payload["match"] = {"sigma": sigma, "pairs": pairs}
     _emit(payload)
     return 0

@@ -175,26 +175,20 @@ def factor_compatibility(left: Decomposition, right: Decomposition) -> list[list
     ]
 
 
-def match_factors(
-    left: Decomposition,
-    right: Decomposition,
-    compatible: list[list[bool]] | None = None,
-) -> list[int] | None:
+def match_factors(compatible: list[list[bool]]) -> list[int] | None:
     """Pair up factors of two decompositions by isomorphism.
 
-    Returns the lexicographically first sigma with left factor j isomorphic
-    to right factor sigma[j], or None when no perfect matching exists.  All
-    m! orders may be tried: a table within the budget has few factors.  A
-    caller that already holds factor_compatibility(left, right) passes it
-    as `compatible`, so no isomorphism search runs twice.
+    Takes the factor_compatibility matrix of two decompositions and returns
+    the lexicographically first sigma with left factor j isomorphic to
+    right factor sigma[j], or None when no perfect matching exists.  All
+    m! orders may be tried: a table within the budget has few factors.
     """
-    if left.m != right.m:
+    m = len(compatible)
+    if any(len(row) != m for row in compatible):
         raise ValueError(
-            f"decompositions have different factor counts: {left.m} and {right.m}"
+            f"decompositions have different factor counts: {m} and {len(compatible[0])}"
         )
-    if compatible is None:
-        compatible = factor_compatibility(left, right)
-    for sigma in itertools.permutations(range(left.m)):
+    for sigma in itertools.permutations(range(m)):
         if all(compatible[j][k] for j, k in enumerate(sigma)):
             return list(sigma)
     return None

@@ -89,24 +89,9 @@ class Scalar:
     def inv(self) -> "Scalar":
         return Scalar(self.group, (-self.exponent) % self.group.order)
 
-    def __neg__(self) -> "Scalar":
-        """Multiplication by -1 (the order-2 element)."""
-        return Scalar(
-            self.group,
-            (self.exponent + self.group.order // 2) % self.group.order,
-        )
-
     @property
     def is_one(self) -> bool:
         return self.exponent == 0
 
     def __str__(self) -> str:
         return self.group.format(self)
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def scalar_inv(a: Scalar) -> Scalar:
-    return a.inv()

@@ -43,7 +43,7 @@ from .analytics import (
 from .budget import resolve_max_elements
 from .cdloop import CDLoop
 from .central_product import make_product
-from .decompose import DecompositionError, match_factors, recover_factors
+from .decompose import DecompositionError, factor_compatibility, match_factors, recover_factors
 from .errors import BudgetExceeded
 from .scalars import Scalar, ScalarGroup, make_scalar_group
 
@@ -88,33 +88,29 @@ class _Runner:
 
     def check(self, name: str, source: str, expected, compute) -> None:
         """Run one check; compute() returns the actual value."""
-        try:
-            actual = compute()
-        except BudgetExceeded as exc:
-            self.report.checks.append(
-                CheckResult(name, "skipped", str(expected), str(exc), source)
-            )
-            return
-        except Exception as exc:
-            self.report.checks.append(
-                CheckResult(
-                    name, "fail", str(expected), f"{type(exc).__name__}: {exc}", source
-                )
-            )
-            return
-        status = "pass" if actual == expected else "fail"
+        status, actual = self._run(compute)
+        if status is None:
+            status = "pass" if actual == expected else "fail"
         self.report.checks.append(
             CheckResult(name, status, str(expected), str(actual), source)
         )
 
     def info(self, name: str, source: str, compute) -> None:
+        status, actual = self._run(compute)
+        if status == "skipped":
+            actual = f"skipped: {actual}"
+        self.report.checks.append(CheckResult(name, "info", "n/a", str(actual), source))
+
+    @staticmethod
+    def _run(compute) -> tuple[str | None, object]:
+        """(None, value) of compute(), or the status and text of its error:
+        BudgetExceeded is skipped, any other error fails as `Type: message`."""
         try:
-            actual = str(compute())
+            return None, compute()
         except BudgetExceeded as exc:
-            actual = f"skipped: {exc}"
+            return "skipped", str(exc)
         except Exception as exc:
-            actual = f"{type(exc).__name__}: {exc}"
-        self.report.checks.append(CheckResult(name, "info", "n/a", actual, source))
+            return "fail", f"{type(exc).__name__}: {exc}"
 
 
 def _expect_raises(fn, exc_type, needle: str | None = None) -> str:
@@ -608,7 +604,7 @@ def run_verify(
                 if dec.rank_histogram() != rank_census_closed(m, n, zo):
                     return f"trial {t}: rank histogram {dec.rank_histogram()}"
                 base = recover_factors(original, n)
-                sigma = match_factors(dec, base)
+                sigma = match_factors(factor_compatibility(dec, base))
                 if sigma is None:
                     return f"trial {t}: factors do not match the originals"
                 for j, D in enumerate(base.factors):

@@ -85,7 +85,7 @@ def test_commutant_coset_sizes_match_rank_formula():
     sizes = commutant_coset_sizes(A2)
     assert len(sizes) == 64
     for combined, size in enumerate(sizes):
-        k = A2.rank(A2.element(Z2.one, A2.split_mask(combined)))
+        k = A2.element(Z2.one, A2.split_mask(combined)).rank
         assert Fraction(size, 64) == b_k_closed(3, k)
     assert sizes[0] == 64
     assert sizes[1] == 16

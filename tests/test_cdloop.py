@@ -86,7 +86,7 @@ def test_twist_identity_and_squares():
 
 
 def test_twist_mask_range_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not fit in 2 bits"):
         QUATERNIONS.twist(4, 0)
     with pytest.raises(ValueError):
         QUATERNIONS.twist(0, -1)

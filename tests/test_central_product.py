@@ -87,15 +87,14 @@ def test_in_factor_associator_survives_embedding():
 
 def test_rank_examples():
     l1 = O.generator(1)
-    assert A2.rank(A2.identity) == 0
-    assert A2.rank(A2.scale(Z2.minus_one, A2.identity)) == 0
-    assert A2.rank(A2.embed(1, l1)) == 1
+    assert A2.identity.rank == 0
+    assert A2.scale(Z2.minus_one, A2.identity).rank == 0
+    assert A2.embed(1, l1).rank == 1
     both = A2.pmul(A2.embed(1, l1), A2.embed(2, O.generator(2)))
-    assert A2.rank(both) == 2
+    assert both.rank == 2
     assert both.masks == (1, 2)
     # rank ignores the scalar part
-    assert A2.rank(A2.scale(Z2.minus_one, both)) == 2
-    assert both.rank == 2
+    assert A2.scale(Z2.minus_one, both).rank == 2
 
 
 def test_pinv_two_sided_exhaustive():
@@ -138,7 +137,7 @@ def test_element_validation():
         ProductElement(A2, Z4.one, (0, 0))
     with pytest.raises(ValueError):
         ProductElement(A2, Z2.one, (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not fit in 3 bits"):
         ProductElement(A2, Z2.one, (8, 0))
     other = make_product(Z2, [O])
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from cdloops import (
     CDLoop,
     Scalar,
     associativity_degree_brute,
+    associator_exponent_image,
     commutant,
     commutant_coset_sizes,
     commutativity_degree_brute,
@@ -267,6 +268,26 @@ def test_commutant_at_sixteen_generators_builds_no_dense_table():
     # the scalars times its own coset and the identity's
     c = x.mask
     assert [A.element_index(y) for y in result] == [0, c, A.coset_count, A.coset_count + c]
+
+
+def test_associator_image_walks_cosets_in_bounded_blocks():
+    z = make_scalar_group(2)
+    L = CDLoop.all_minus_one(z, 8)
+    image, peak = traced_peak(lambda: associator_exponent_image(L, 1 << 24))
+    assert image == {0, 1}
+    assert peak < 64 << 20
+
+
+def test_associator_image_is_the_same_in_any_block_size(monkeypatch):
+    rng = random.Random(7)
+    shapes = [(4, 1, 3), (2, 2, 2), (6, 1, 4), (4, 2, 3)]
+    products = [random_product(rng, order, m, n) for order, m, n in shapes]
+    whole = [associator_exponent_image(A) for A in products]
+    # three cosets e per block at 16 cosets leaves a short last block
+    monkeypatch.setattr(analytics, "_BLOCK_CELLS", 3 * 16**2)
+    assert [associator_exponent_image(A) for A in products] == whole
+    monkeypatch.setattr(analytics, "_BLOCK_CELLS", 1)
+    assert [associator_exponent_image(A) for A in products] == whole
 
 
 # -- products: element walks and the coset triple dedupe ---------------------------

@@ -6,6 +6,7 @@ from cdloops import (
     CDLoop,
     DecompositionError,
     Scalar,
+    factor_compatibility,
     find_isomorphism,
     infer_parameters,
     make_product,
@@ -18,6 +19,7 @@ from cdloops import (
     to_table,
 )
 from cdloops.abstract_loop import AbstractLoop
+from cdloops.verify import _dihedral_table
 
 Z2 = make_scalar_group(2)
 Z4 = make_scalar_group(4)
@@ -25,19 +27,6 @@ O = CDLoop.all_minus_one(Z2, 3)
 SPLIT3 = CDLoop(Z2, (Z2.one, Z2.minus_one, Z2.one))
 A2 = make_product(Z2, [O, O])
 T2 = to_table(A2)
-
-
-def dihedral_table(k):
-    # 0..k-1 are rotations r^i, k..2k-1 are reflections s*r^i
-    size = 2 * k
-    table = [[0] * size for _ in range(size)]
-    for i in range(k):
-        for j in range(k):
-            table[i][j] = (i + j) % k
-            table[i][k + j] = k + (j - i) % k
-            table[k + i][j] = k + (i + j) % k
-            table[k + i][k + j] = (j - i) % k
-    return AbstractLoop(table)
 
 
 def test_infer_parameters_on_true_products():
@@ -62,7 +51,7 @@ def test_infer_parameters_rejects_wrong_coset_counts():
         infer_parameters(c96, 3)
     # dihedral of order 12: 6 cosets of the center, not a power of 8
     with pytest.raises(DecompositionError, match="not a positive power"):
-        infer_parameters(dihedral_table(6), 3)
+        infer_parameters(AbstractLoop(_dihedral_table(6)), 3)
     # octonion table read at the wrong depth
     with pytest.raises(DecompositionError, match="not a positive power"):
         infer_parameters(to_table(O), 4)
@@ -98,7 +87,7 @@ def test_recovered_subsets_are_the_embedded_factors():
 def test_recover_rejects_non_product_tables_with_matching_size():
     # dihedral of order 16 has 8 center cosets but the wrong commutant profile
     with pytest.raises(DecompositionError, match="matching no rank"):
-        recover_factors(dihedral_table(8), 3)
+        recover_factors(AbstractLoop(_dihedral_table(8)), 3)
 
 
 def test_round_trip_with_relabeling_and_mixed_gammas():
@@ -119,7 +108,7 @@ def test_round_trip_with_relabeling_and_mixed_gammas():
         assert dec.z_size == z.order
         assert dec.rank_histogram() == rank_census_closed(len(factors), n, z.order)
         base = recover_factors(original, n)
-        sigma = match_factors(dec, base)
+        sigma = match_factors(factor_compatibility(dec, base))
         assert sigma is not None
         assert sorted(sigma) == list(range(len(factors)))
         for j, F in enumerate(base.factors):
@@ -139,7 +128,7 @@ def test_pivot_order_changes_nothing_essential():
 def test_match_factors_finds_the_factor_swap():
     left = recover_factors(to_table(make_product(Z2, [O, SPLIT3])), 3)
     right = recover_factors(to_table(make_product(Z2, [SPLIT3, O])), 3)
-    sigma = match_factors(left, right)
+    sigma = match_factors(factor_compatibility(left, right))
     assert sigma is not None
     assert sorted(sigma) == [0, 1]
     for j in range(2):
@@ -156,21 +145,27 @@ def test_match_factors_finds_the_factor_swap():
 def test_match_factors_failure_modes():
     both_o = recover_factors(to_table(make_product(Z2, [O, O])), 3)
     mixed = recover_factors(to_table(make_product(Z2, [O, SPLIT3])), 3)
-    assert match_factors(both_o, mixed) is None
+    assert match_factors(factor_compatibility(both_o, mixed)) is None
     single = recover_factors(to_table(O), 3)
     with pytest.raises(ValueError):
-        match_factors(single, both_o)
+        match_factors(factor_compatibility(single, both_o))
 
 
 def test_match_factors_returns_the_lexicographically_first_matching():
-    dec = recover_factors(to_table(make_product(Z2, [O, O, O])), 3)
     T, F = True, False
     # Three perfect matchings, (0, 2, 1), (1, 2, 0) and (2, 0, 1).
-    assert match_factors(dec, dec, [[T, T, T], [T, F, T], [T, T, F]]) == [0, 2, 1]
+    assert match_factors([[T, T, T], [T, F, T], [T, T, F]]) == [0, 2, 1]
     # Two, (1, 0, 2) and (1, 2, 0); sigma[0] = 0 admits none.
-    assert match_factors(dec, dec, [[T, T, F], [T, F, T], [T, F, T]]) == [1, 0, 2]
+    assert match_factors([[T, T, F], [T, F, T], [T, F, T]]) == [1, 0, 2]
     # Rows 1 and 2 both need column 0.
-    assert match_factors(dec, dec, [[T, T, T], [T, F, F], [T, F, F]]) is None
+    assert match_factors([[T, T, T], [T, F, F], [T, F, F]]) is None
+
+
+def test_match_factors_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="different factor counts: 1 and 2"):
+        match_factors([[True, True]])
+    with pytest.raises(ValueError, match="different factor counts: 2 and 1"):
+        match_factors([[True], [True]])
 
 
 def test_factor_tables_are_loops_in_their_own_right():
