@@ -16,8 +16,9 @@ numpy passes per node.
 from __future__ import annotations
 
 import random
+import re
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -66,12 +67,17 @@ class AbstractLoop:
             raise TableFormatError(
                 f"entry at row {bad[0]}, column {bad[1]} is outside 0..{n - 1}"
             )
-        expected = np.arange(n)
-        row_ok = (np.sort(arr, axis=1) == expected).all(axis=1)
+        # Mark which values each row and each column hits.
+        index = np.arange(n)
+        seen = np.zeros((n, n), dtype=bool)
+        seen[index[:, None], arr] = True
+        row_ok = seen.all(axis=1)
         if not row_ok.all():
             i = int(np.flatnonzero(~row_ok)[0])
             raise TableFormatError(f"row {i} is not a permutation of 0..{n - 1}")
-        col_ok = (np.sort(arr.T, axis=1) == expected).all(axis=1)
+        seen[:] = False
+        seen[arr, index] = True
+        col_ok = seen.all(axis=0)
         if not col_ok.all():
             j = int(np.flatnonzero(~col_ok)[0])
             raise TableFormatError(f"column {j} is not a permutation of 0..{n - 1}")
@@ -296,34 +302,178 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
 
 # -- loop-table v1 interchange format -----------------------------------------------
 
+# Bytes of text decoded per pass of parse_loop_table (blocks are cut after a
+# line break), and the rough output size of one serialize_loop_table pass.
+_CODEC_BLOCK_BYTES = 1 << 20
+# Significant digits an entry may carry for exact int64 accumulation; any
+# longer entry is out of range for every table that fits in memory.
+_MAX_DIGITS = 18
+
+# ASCII byte classes as str.split and str.splitlines see them.
+_OTHER, _SPACE, _BREAK, _DIGIT, _MINUS = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[[ord(c) for c in "\t\x1f "]] = _SPACE
+_BYTE_CLASS[[ord(c) for c in "\n\r\x0b\x0c\x1c\x1d\x1e"]] = _BREAK
+_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_BYTE_CLASS[ord("-")] = _MINUS
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e]")
+_NON_BLANK = re.compile("[^\t\n\x0b\x0c\r\x1c-\x1f ]")
+
 
 def serialize_loop_table(loop: AbstractLoop) -> str:
-    """Render as 'loop-table v1 N' plus N rows of N space-separated indices."""
-    lines = [f"loop-table v1 {loop.size}"]
-    lines.extend(" ".join(map(str, row)) for row in loop.table.tolist())
-    return "\n".join(lines) + "\n"
+    """Render as 'loop-table v1 N' plus N rows of N space-separated indices.
+
+    The text is assembled in one byte buffer, a block of rows at a time:
+    each entry's separator offset is a cumsum of decimal widths plus one,
+    and its digits are written right-aligned, one pass per decimal place,
+    gathered from per-value digit tables.  Entries outside 0..N-1 (only a
+    table built with validate=False holds them) are rendered with str().
+    """
+    n, table = loop.size, loop.table
+    head = f"loop-table v1 {n}\n"
+    if table.min() < 0 or table.max() >= n:
+        return head + "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+    places = len(str(n - 1))
+    values = np.arange(n)
+    digits = (values // 10 ** np.arange(places)[:, None] % 10 + ord("0")).astype(np.uint8)
+    # an entry's width plus its separator
+    step = 2 + (values >= 10 ** np.arange(1, places)[:, None]).sum(axis=0)
+    buf = np.empty(len(head) + n * n * (places + 1), dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head.encode(), dtype=np.uint8)
+    end = len(head)
+    rows = max(1, _CODEC_BLOCK_BYTES // (n * (places + 1)))
+    for r in range(0, n, rows):
+        block = table[r : r + rows].ravel()
+        sep = np.cumsum(step[block])
+        sep += end - 1
+        # Highest place first: an entry with fewer digits writes a stray
+        # digit to its left, over a byte whose own digit is written in a
+        # later pass or which is a separator, written last.
+        for p in range(places - 1, -1, -1):
+            buf[np.maximum(sep - 1 - p, end)] = digits[p, block]
+        buf[sep] = ord(" ")
+        buf[sep[n - 1 :: n]] = ord("\n")
+        end = int(sep[-1]) + 1
+    return str(buf[:end], "ascii")
 
 
 def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop:
     """Parse the loop-table v1 format and normalize the identity to index 0.
 
     The N^2 cells named by the header are charged against the enumeration
-    budget before any row is parsed.
+    budget before any row is parsed.  The body is decoded from ASCII bytes
+    in blocks of about 1 MiB, straight into the N x N table; text the
+    decoder refuses is re-read line by line to report its first defect.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise TableFormatError("empty input")
-    header = lines[0].split()
+    loop = _decode_loop_table(text, max_elements) if text.isascii() else None
+    if loop is None:
+        _raise_first_defect(text, max_elements)
+    if loop.identity != 0:
+        perm = list(range(loop.size))
+        perm[0], perm[loop.identity] = perm[loop.identity], perm[0]
+        loop = loop.relabel(perm)
+    return loop
+
+
+def _read_header(line: str, max_elements: int | None) -> int:
+    """The size N on a header line, charged as N^2 cells."""
+    header = line.split()
     if len(header) != 3 or header[0] != "loop-table" or header[1] != "v1":
-        raise TableFormatError(
-            f"expected header 'loop-table v1 N', got {lines[0]!r}"
-        )
+        raise TableFormatError(f"expected header 'loop-table v1 N', got {line!r}")
     if not (header[2].isascii() and header[2].isdigit()):
         raise TableFormatError(f"invalid size in header: {header[2]!r}")
     n = int(header[2])
     if n < 1:
         raise TableFormatError(f"size must be positive, got {n}")
     ensure_budget(n * n, max_elements, "table parse")
+    return n
+
+
+def _decode_loop_table(text: str, max_elements: int | None) -> AbstractLoop | None:
+    """The table in ASCII text, or None where the text has any defect
+    below its header (a header defect raises here)."""
+    first = _NON_BLANK.search(text)
+    if first is None:
+        return None
+    brk = _LINE_BREAK.search(text, first.start())
+    head_end = brk.start() if brk else len(text)
+    n = _read_header(text[:head_end].splitlines()[-1], max_elements)
+    start = brk.end() if brk else len(text)
+    # n rows of n one-digit entries need 2n^2 - 1 bytes; refusing shorter
+    # bodies here keeps the table below 4 bytes per byte of text.
+    if len(text) - start < 2 * n * n - 1:
+        return None
+    out = np.empty(n * n, dtype=np.int64)
+    filled = 0
+    while start < len(text):
+        stop = _LINE_BREAK.search(text, start + _CODEC_BLOCK_BYTES)
+        stop = stop.end() if stop else len(text)
+        values = _decode_block(text[start:stop].encode("ascii"), n)
+        if values is None or filled + values.size > out.size:
+            return None
+        out[filled : filled + values.size] = values
+        filled += values.size
+        start = stop
+    return AbstractLoop(out.reshape(n, n)) if filled == out.size else None
+
+
+def _decode_block(data: bytes, n: int) -> np.ndarray | None:
+    """The entries of whole body lines in order, or None if a byte is not a
+    digit, whitespace or a leading '-', a non-blank line does not hold n
+    entries, or an entry has more than _MAX_DIGITS significant digits."""
+    u = np.frombuffer(data, dtype=np.uint8)
+    cls = _BYTE_CLASS.take(u)
+    if not cls.all():
+        return None
+    bounds = np.flatnonzero(np.diff(cls >= _DIGIT, prepend=False, append=False))
+    starts, ends = bounds[::2], bounds[1::2]
+    line_ends = np.searchsorted(starts, np.flatnonzero(cls == _BREAK))
+    per_line = np.diff(line_ends, prepend=0, append=starts.size)
+    if ((per_line != 0) & (per_line != n)).any():
+        return None
+    if starts.size == 0:
+        return starts
+    first = starts
+    negative = None
+    if (cls == _MINUS).any():
+        negative = u[starts] == ord("-")
+        first = starts + negative
+        if np.count_nonzero(cls == _MINUS) != np.count_nonzero(negative) or (ends == first).any():
+            return None
+    width = int((ends - first).max())
+    if width > _MAX_DIGITS:
+        # Only leading zeros may precede an entry's last _MAX_DIGITS digits.
+        long = np.flatnonzero(ends - first > _MAX_DIGITS)
+        lead = np.column_stack([first[long], ends[long] - _MAX_DIGITS]).ravel()
+        if (np.maximum.reduceat(u, lead)[::2] > ord("0")).any():
+            return None
+        first = np.maximum(first, ends - _MAX_DIGITS)
+        width = _MAX_DIGITS
+    values = np.zeros(starts.size, dtype=np.int64)
+    pos = ends - 1
+    for p in range(width):
+        digit = u[pos].astype(np.int64)
+        digit -= ord("0")
+        digit[pos < first] = 0
+        digit *= 10**p
+        values += digit
+        pos -= 1
+    if negative is not None:
+        np.negative(values, out=values, where=negative)
+    return values
+
+
+def _raise_first_defect(text: str, max_elements: int | None) -> NoReturn:
+    """Read text line by line and raise the error for its first defect.
+
+    Called only on text the block decoder refused, every one of which has a
+    defect: the header, the row count, a row's entries, non-ASCII text, or
+    an entry of 19 or more significant digits, which is outside 0..N-1.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise TableFormatError("empty input")
+    n = _read_header(lines[0], max_elements)
     if len(lines) - 1 != n:
         raise TableFormatError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []
@@ -342,12 +492,8 @@ def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop
             raise TableFormatError(f"row {i} has an entry outside 0..{n - 1}") from None
     if not text.isascii():
         raise TableFormatError("table has non-ASCII whitespace or line breaks")
-    loop = AbstractLoop(np.vstack(rows))
-    if loop.identity != 0:
-        perm = list(range(loop.size))
-        perm[0], perm[loop.identity] = perm[loop.identity], perm[0]
-        loop = loop.relabel(perm)
-    return loop
+    AbstractLoop(np.vstack(rows))  # range check of the long entries
+    raise RuntimeError("internal error: the block decoder refused a well-formed table")
 
 
 def random_relabel(

@@ -146,18 +146,18 @@ def commutant(
 
     Whether y commutes with x depends only on y's coset.  The commutator
     exponents of x against every coset are the Kronecker sum of per-factor
-    rows t_i(x_i, f) - t_i(f, x_i), read through twist_exp and kept in
-    twist_table's dtype, which holds the sum of two reduced exponents.
+    rows t_i(x_i, f) - t_i(f, x_i), read from twist_row_and_column (no
+    dense table) and kept in twist_table's dtype, which holds the sum of
+    two reduced exponents and t + (|Z| - t') < 2|Z|.
     """
     A = as_product(A)
     ensure_budget(A.order, max_elements, "commutant enumeration")
     A._check_member(x)
     order = A.z.order
-    dtype = np.min_scalar_type(2 * (order - 1))
-    exps = np.zeros(1, dtype=dtype)
+    exps = np.zeros(1, dtype=np.min_scalar_type(2 * (order - 1)))
     for d, e in zip(A.factors, x.masks):
-        row = ((d.twist_exp(e, f) - d.twist_exp(f, e)) % order for f in range(1 << d.n))
-        exps = (np.fromiter(row, dtype)[:, None] + exps).ravel() % order
+        row, col = d.twist_row_and_column(e)
+        exps = (((row + (order - col)) % order)[:, None] + exps).ravel() % order
     return A._coset_elements(np.flatnonzero(exps == 0))
 
 

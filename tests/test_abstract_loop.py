@@ -165,6 +165,39 @@ def test_latin_square_diagnostics():
             AbstractLoop(empty)
 
 
+def sorted_latin_defect(arr: np.ndarray) -> str | None:
+    """Test-only reference: the first row, then column, whose sorted entries
+    are not 0..N-1, for a table with every entry in range."""
+    n = len(arr)
+    for name, lines in (("row", arr), ("column", arr.T)):
+        bad = np.flatnonzero(~(np.sort(lines, axis=1) == np.arange(n)).all(axis=1))
+        if bad.size:
+            return f"{name} {bad[0]} is not a permutation of 0..{n - 1}"
+    return None
+
+
+def test_latin_check_names_the_first_bad_row_or_column():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        n = rng.randrange(2, 9)
+        perm = np.array(rng.sample(range(n), n))
+        arr = perm[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n]
+        for _ in range(rng.randrange(1, 3)):
+            if rng.random() < 0.5:  # swap two cells of a row: its columns break
+                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                arr[i, j], arr[i, k] = arr[i, k], arr[i, j]
+            else:
+                arr[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+        want = sorted_latin_defect(arr)
+        if want is None:
+            continue
+        seen.add(want.split()[0])
+        with pytest.raises(TableFormatError, match=f"^{want}$"):
+            AbstractLoop(arr)
+    assert seen == {"row", "column"}
+
+
 @pytest.mark.parametrize(
     "table, dtype",
     [

@@ -1,0 +1,133 @@
+"""The loop-table v1 writer against its reference, and the codec's memory.
+
+`reference_serialize` is the `" ".join` writer that `serialize_loop_table`
+replaced; the output must stay byte-identical to it.  The parser's
+agreement with its own reference is fuzzed in test_parse_fuzz.py.
+"""
+
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cdloops import (
+    AbstractLoop,
+    CDLoop,
+    TableFormatError,
+    make_product,
+    make_scalar_group,
+    parse_loop_table,
+    random_relabel,
+    serialize_loop_table,
+    to_table,
+)
+from cdloops import abstract_loop
+
+Z2 = make_scalar_group(2)
+Z4 = make_scalar_group(4)
+
+
+def reference_serialize(loop: AbstractLoop) -> str:
+    """Test-only reference: the row-by-row loop-table v1 writer."""
+    lines = [f"loop-table v1 {loop.size}"]
+    lines.extend(" ".join(map(str, row)) for row in loop.table.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def cyclic(n: int) -> AbstractLoop:
+    index = np.arange(n)
+    return AbstractLoop((index[:, None] + index[None, :]) % n)
+
+
+def product_1024() -> AbstractLoop:
+    return to_table(make_product(Z4, [CDLoop.all_minus_one(Z4, 4)] * 2))
+
+
+LOOPS = {
+    1: lambda: cyclic(1),
+    2: lambda: to_table(CDLoop(Z2, ())),
+    8: lambda: to_table(CDLoop.all_minus_one(Z2, 2)),
+    10: lambda: cyclic(10),
+    11: lambda: cyclic(11),
+    16: lambda: to_table(CDLoop.all_minus_one(Z2, 3)),
+    100: lambda: cyclic(100),
+    101: lambda: cyclic(101),
+    128: lambda: to_table(CDLoop.all_minus_one(Z2, 6)),
+    1024: product_1024,
+}
+
+
+def relabelled(loop: AbstractLoop, seed: int) -> AbstractLoop:
+    """A random relabelling that moves the identity off index 0 (when N > 1)."""
+    shuffled, perm = random_relabel(loop, random.Random(seed))
+    if loop.size > 1 and perm[0] == 0:
+        perm[0], perm[1] = perm[1], perm[0]
+        shuffled = loop.relabel(perm)
+    return shuffled
+
+
+@pytest.mark.parametrize("size", sorted(LOOPS))
+def test_serialize_is_byte_identical_to_the_reference(size):
+    loop = LOOPS[size]()
+    assert loop.size == size
+    moved = relabelled(loop, size)
+    assert size == 1 or moved.identity != 0
+    for table in (loop, moved):
+        text = serialize_loop_table(table)
+        assert text == reference_serialize(table)
+        reparsed = parse_loop_table(text)
+        assert reparsed.identity == 0
+        if table.identity == 0:
+            assert reparsed == table
+
+
+@pytest.mark.parametrize("block_bytes", [1, 9, 100])
+def test_serialize_is_the_same_in_any_block_size(monkeypatch, block_bytes):
+    loops = [relabelled(LOOPS[size](), size) for size in (8, 11, 101)]
+    monkeypatch.setattr(abstract_loop, "_CODEC_BLOCK_BYTES", block_bytes)
+    for loop in loops:
+        assert serialize_loop_table(loop) == reference_serialize(loop)
+
+
+def test_serialize_writes_unvalidated_entries_as_str_does():
+    table = [[0, 1, 2], [1, -7, 2**63 - 1], [2, 30, -(2**63)]]
+    loop = AbstractLoop(table, validate=False)
+    assert serialize_loop_table(loop) == reference_serialize(loop)
+
+
+def test_byte_classes_match_str_split_and_splitlines():
+    for code in range(128):
+        c = chr(code)
+        kind = abstract_loop._BYTE_CLASS[code]
+        assert (kind == abstract_loop._BREAK) == (len(f"a{c}b".splitlines()) == 2), repr(c)
+        assert (kind == abstract_loop._SPACE) == (c.isspace() and kind != abstract_loop._BREAK)
+        assert (kind == abstract_loop._DIGIT) == (c in "0123456789")
+        assert (kind == abstract_loop._MINUS) == (c == "-")
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_codec_memory_on_a_relabelled_1024_element_table():
+    # Decoding in blocks keeps parse near the table and its checked copy;
+    # the line-by-line parser peaked at 37 MiB and the join writer at 36 MiB.
+    loop = relabelled(product_1024(), 1024)
+    text = serialize_loop_table(loop)
+    assert traced_peak(lambda: parse_loop_table(text)) < 32 << 20
+    assert traced_peak(lambda: serialize_loop_table(loop)) < 30 << 20
+
+
+def test_a_body_too_short_for_its_header_allocates_no_table():
+    def parse():
+        with pytest.raises(TableFormatError, match="expected 1024 rows after the header, got 1"):
+            parse_loop_table("loop-table v1 1024\n" + "0 " * 1000 + "\n")
+
+    assert traced_peak(parse) < 1 << 20

@@ -68,6 +68,19 @@ def test_twist_table_bit_loop_and_twist_exp_match_the_recursion(order):
                     assert L.twist_exp(e, f) == expected, (L.describe(), e, f)
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_twist_row_and_column_are_the_tables(order):
+    rng = random.Random(order + 1)
+    for n in range(8):
+        L = random_loop(rng, order, n)
+        table = L.twist_table()
+        for e in range(1 << n):
+            row, col = L.twist_row_and_column(e)
+            assert row.dtype == col.dtype == table.dtype
+            assert np.array_equal(row, table[e]), (L.describe(), e)
+            assert np.array_equal(col, table[:, e]), (L.describe(), e)
+
+
 @pytest.mark.parametrize("order", (2, 6, 130))
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_coset_twist_matrix_equals_pmul_over_all_coset_pairs(order, m):
