@@ -3,7 +3,6 @@
 from .abstract_loop import (
     AbstractLoop,
     find_isomorphism,
-    fixes_center_setwise,
     parse_loop_table,
     random_relabel,
     serialize_loop_table,
@@ -78,7 +77,6 @@ __all__ = [
     "coset_twist_matrix",
     "factor_compatibility",
     "find_isomorphism",
-    "fixes_center_setwise",
     "generates_group",
     "infer_parameters",
     "is_di_associative",

@@ -40,11 +40,13 @@ class AbstractLoop:
 
     table[i][j] is the index of the product of elements i and j.  The table
     must be a Latin square with a two-sided identity; the identity may sit
-    at any index (parse_loop_table normalizes it to 0).
+    at any index (parse_loop_table normalizes it to 0).  self.table is a
+    read-only int64 array: one passed in as such is kept, anything else is
+    copied once, so the cached invariants always describe the table.
     """
 
     def __init__(self, table, validate: bool = True):
-        arr = np.array(table)
+        arr = np.asarray(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise TableFormatError(f"table must be square, got shape {arr.shape}")
         if arr.shape[0] == 0:
@@ -52,7 +54,10 @@ class AbstractLoop:
         # Casting would truncate floats and overflow on huge Python ints.
         if arr.dtype.kind not in "iu":
             raise TableFormatError(f"table entries must be integers, got {arr.dtype}")
-        self.table = arr = arr.astype(np.int64, copy=False)
+        if arr.dtype != np.int64 or arr.flags.writeable:
+            arr = arr.astype(np.int64)
+            arr.flags.writeable = False
+        self.table = arr
         self.size = int(arr.shape[0])
         if validate:
             self._validate_latin()
@@ -183,15 +188,17 @@ class AbstractLoop:
         if (sub < 0).any():
             a, b = (idx[k] for k in np.argwhere(sub < 0)[0])
             raise ValueError(f"subset is not closed: {a} * {b} = {self.mul(a, b)}")
+        sub.flags.writeable = False
         return AbstractLoop(sub, validate=False)
 
     def relabel(self, perm) -> "AbstractLoop":
         """Transport the table along i -> perm[i]."""
         p = np.asarray(perm, dtype=np.int64)
-        if p.shape != (self.size,) or not np.array_equal(np.sort(p), np.arange(self.size)):
+        if not _is_permutation(p, self.size):
             raise ValueError(f"relabeling must be a permutation of 0..{self.size - 1}")
         new = np.empty_like(self.table)
         new[p[:, None], p[None, :]] = p[self.table]
+        new.flags.writeable = False
         return AbstractLoop(new, validate=False)
 
     # -- signatures for isomorphism search ------------------------------------------
@@ -205,57 +212,45 @@ class AbstractLoop:
         return list(zip(self.element_orders(), self.commutant_sizes(), assoc))
 
     @cached_property
-    def _generator_ladder(self) -> list[int]:
-        """Greedy generating sequence, each pick growing the closure the most.
-
-        Ties go to the smallest index.  A candidate inside an earlier
-        candidate's closure at the same step is skipped: its own closure is
-        contained in that one, so it can never strictly win.
-        """
-        known = self.closure(())
-        gens: list[int] = []
-        while len(known) < self.size:
-            best_g, best_closure = -1, known
-            covered = set(known)
-            for g in range(self.size):
-                if g in covered:
-                    continue
-                grown = self.closure(list(known) + [g])
-                covered |= grown
-                if len(grown) > len(best_closure):
-                    best_g, best_closure = g, grown
-                    if len(grown) == self.size:
-                        break
-            gens.append(best_g)
-            known = best_closure
-        return gens
-
-    @cached_property
     def _word_program(self) -> list[_Step]:
-        """The ladder as words: how each element is reached from the generators.
+        """A greedy generator ladder as words: how each element is reached.
 
-        One step per ladder generator g; the ladder never picks a g inside
-        the closure of the generators before it.  A step adds g, then closes
-        the set in waves; each wave is (xs, us, vs) with xs[i] = us[i] * vs[i]
-        for us, vs already in the set.
+        Each step adds the generator g whose closure with the set so far is
+        largest (ties go to the smallest index), closing the set in waves;
+        each wave is (xs, us, vs) with xs[i] = us[i] * vs[i] for us, vs
+        already in the set.  A candidate inside an earlier candidate's
+        closure at the same step is skipped: its own closure is contained in
+        that one, so it can never strictly win.
         """
         arr = self.table
         inside = np.zeros(self.size, dtype=bool)
         inside[self.identity] = True
         program: list[_Step] = []
-        for g in self._generator_ladder:
-            inside[g] = True
-            waves = []
-            while True:
-                S = np.flatnonzero(inside)
-                products = arr[np.ix_(S, S)].ravel()
-                fresh = np.flatnonzero(~inside[products])
-                if fresh.size == 0:
-                    break
-                xs, first = np.unique(products[fresh], return_index=True)
-                cell = fresh[first]
-                waves.append((xs, S[cell // S.size], S[cell % S.size]))
-                inside[xs] = True
+        while not inside.all():
+            best = None
+            covered = inside.copy()
+            for g in range(self.size):
+                if covered[g]:
+                    continue
+                grown = inside.copy()
+                grown[g] = True
+                waves = []
+                while True:
+                    S = np.flatnonzero(grown)
+                    products = arr[np.ix_(S, S)].ravel()
+                    fresh = np.flatnonzero(~grown[products])
+                    if fresh.size == 0:
+                        break
+                    xs, first = np.unique(products[fresh], return_index=True)
+                    cell = fresh[first]
+                    waves.append((xs, S[cell // S.size], S[cell % S.size]))
+                    grown[xs] = True
+                covered |= grown
+                if best is None or S.size > best[3].size:
+                    best = g, grown, waves, S
+                    if S.size == self.size:
+                        break
+            g, inside, waves, S = best
             new = np.concatenate([[g]] + [xs for xs, _, _ in waves])
             program.append(
                 _Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)])
@@ -297,7 +292,9 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
     c = index % cosets
     scalar_grid = (s[:, None] + s[None, :] + twists[c[:, None], c[None, :]]) % k
     mask_grid = c[:, None] ^ c[None, :]
-    return AbstractLoop(scalar_grid * cosets + mask_grid, validate=False)
+    table = scalar_grid * cosets + mask_grid
+    table.flags.writeable = False
+    return AbstractLoop(table, validate=False)
 
 
 # -- loop-table v1 interchange format -----------------------------------------------
@@ -310,12 +307,11 @@ _CODEC_BLOCK_BYTES = 1 << 20
 _MAX_DIGITS = 18
 
 # ASCII byte classes as str.split and str.splitlines see them.
-_OTHER, _SPACE, _BREAK, _DIGIT, _MINUS = range(5)
+_OTHER, _SPACE, _BREAK, _DIGIT = range(4)
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[[ord(c) for c in "\t\x1f "]] = _SPACE
 _BYTE_CLASS[[ord(c) for c in "\n\r\x0b\x0c\x1c\x1d\x1e"]] = _BREAK
 _BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
-_BYTE_CLASS[ord("-")] = _MINUS
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e]")
 _NON_BLANK = re.compile("[^\t\n\x0b\x0c\r\x1c-\x1f ]")
 
@@ -327,12 +323,12 @@ def serialize_loop_table(loop: AbstractLoop) -> str:
     each entry's separator offset is a cumsum of decimal widths plus one,
     and its digits are written right-aligned, one pass per decimal place,
     gathered from per-value digit tables.  Entries outside 0..N-1 (only a
-    table built with validate=False holds them) are rendered with str().
+    table built with validate=False holds them) raise TableFormatError.
     """
     n, table = loop.size, loop.table
-    head = f"loop-table v1 {n}\n"
     if table.min() < 0 or table.max() >= n:
-        return head + "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+        raise TableFormatError(f"cannot write a table with entries outside 0..{n - 1}")
+    head = f"loop-table v1 {n}\n"
     places = len(str(n - 1))
     values = np.arange(n)
     digits = (values // 10 ** np.arange(places)[:, None] % 10 + ord("0")).astype(np.uint8)
@@ -414,13 +410,14 @@ def _decode_loop_table(text: str, max_elements: int | None) -> AbstractLoop | No
         out[filled : filled + values.size] = values
         filled += values.size
         start = stop
+    out.flags.writeable = False
     return AbstractLoop(out.reshape(n, n)) if filled == out.size else None
 
 
 def _decode_block(data: bytes, n: int) -> np.ndarray | None:
     """The entries of whole body lines in order, or None if a byte is not a
-    digit, whitespace or a leading '-', a non-blank line does not hold n
-    entries, or an entry has more than _MAX_DIGITS significant digits."""
+    digit or whitespace, a non-blank line does not hold n entries, or an
+    entry has more than _MAX_DIGITS significant digits."""
     u = np.frombuffer(data, dtype=np.uint8)
     cls = _BYTE_CLASS.take(u)
     if not cls.all():
@@ -434,12 +431,6 @@ def _decode_block(data: bytes, n: int) -> np.ndarray | None:
     if starts.size == 0:
         return starts
     first = starts
-    negative = None
-    if (cls == _MINUS).any():
-        negative = u[starts] == ord("-")
-        first = starts + negative
-        if np.count_nonzero(cls == _MINUS) != np.count_nonzero(negative) or (ends == first).any():
-            return None
     width = int((ends - first).max())
     if width > _MAX_DIGITS:
         # Only leading zeros may precede an entry's last _MAX_DIGITS digits.
@@ -458,8 +449,6 @@ def _decode_block(data: bytes, n: int) -> np.ndarray | None:
         digit *= 10**p
         values += digit
         pos -= 1
-    if negative is not None:
-        np.negative(values, out=values, where=negative)
     return values
 
 
@@ -482,7 +471,7 @@ def _raise_first_defect(text: str, max_elements: int | None) -> NoReturn:
         if len(parts) != n:
             raise TableFormatError(f"row {i} has {len(parts)} entries, expected {n}")
         # int() would also read signs, digit separators and non-ASCII digits.
-        if not line.isascii() or "+" in line or "_" in line:
+        if not line.isascii() or "+" in line or "-" in line or "_" in line:
             raise TableFormatError(f"row {i} contains a non-integer entry")
         try:
             rows.append(np.fromiter(map(int, parts), dtype=np.int64, count=n))
@@ -513,14 +502,13 @@ def verify_isomorphism(left: AbstractLoop, right: AbstractLoop, mapping) -> bool
     if left.size != right.size:
         return False
     p = np.asarray(mapping, dtype=np.int64)
-    if p.shape != (left.size,) or not np.array_equal(np.sort(p), np.arange(left.size)):
+    if not _is_permutation(p, left.size):
         return False
     return bool(np.array_equal(p[left.table], right.table[p[:, None], p[None, :]]))
 
 
-def fixes_center_setwise(left: AbstractLoop, right: AbstractLoop, mapping) -> bool:
-    """Whether the witness carries left's center onto right's center."""
-    return {mapping[c] for c in left.center()} == set(right.center())
+def _is_permutation(p: np.ndarray, n: int) -> bool:
+    return p.shape == (n,) and np.array_equal(np.sort(p), np.arange(n))
 
 
 def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | None:

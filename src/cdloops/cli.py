@@ -213,9 +213,13 @@ def _cmd_export(args) -> int:
     return 0
 
 
+def _read_table(path: str, max_elements: int | None):
+    with open(path) as fh:
+        return parse_loop_table(fh.read(), max_elements)
+
+
 def _cmd_import(args) -> int:
-    with open(args.table) as fh:
-        loop = parse_loop_table(fh.read(), args.max_elements)
+    loop = _read_table(args.table, args.max_elements)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(serialize_loop_table(loop))
@@ -233,9 +237,7 @@ def _cmd_import(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    with open(args.table) as fh:
-        loop = parse_loop_table(fh.read(), args.max_elements)
-    dec = recover_factors(loop, args.n)
+    dec = recover_factors(_read_table(args.table, args.max_elements), args.n)
     payload = {
         "n": dec.n,
         "m": dec.m,
@@ -245,9 +247,7 @@ def _cmd_decompose(args) -> int:
         "factors": dec.subsets,
     }
     if args.match_against:
-        with open(args.match_against) as fh:
-            other_loop = parse_loop_table(fh.read(), args.max_elements)
-        other = recover_factors(other_loop, args.n)
+        other = recover_factors(_read_table(args.match_against, args.max_elements), args.n)
         pairs = factor_compatibility(dec, other)
         sigma = match_factors(pairs) if dec.m == other.m else None
         payload["match"] = {"sigma": sigma, "pairs": pairs}

@@ -96,7 +96,6 @@ def rank_of(loop: AbstractLoop, x: int, n: int) -> int:
 class Decomposition:
     """Factors of a table recognized as a central product."""
 
-    loop: AbstractLoop
     n: int
     m: int
     z_size: int
@@ -156,7 +155,6 @@ def recover_factors(loop: AbstractLoop, n: int) -> Decomposition:
         )
     factors = [loop.subloop(subset) for subset in subsets]
     return Decomposition(
-        loop=loop,
         n=n,
         m=m,
         z_size=z_size,

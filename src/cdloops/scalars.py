@@ -40,20 +40,20 @@ class ScalarGroup:
     def parse(self, token: str) -> "Scalar":
         """Read a scalar from its CLI spelling.
 
-        Plain integers are exponents; the spellings "+1" and "-1" are
-        shorthands for exponents 0 and order/2.  (Exponent -1 itself must be
-        written as order-1.)
+        Integers (an optional sign, then ASCII digits) are exponents,
+        reduced mod order; the spellings "+1" and "-1" are shorthands for
+        exponents 0 and order/2.  (Exponent -1 itself must be written as
+        order-1.)
         """
         token = token.strip()
         if token == "+1":
             return self.one
         if token == "-1":
             return self.minus_one
-        try:
-            exponent = int(token)
-        except ValueError:
-            raise ValueError(f"cannot parse scalar token {token!r}") from None
-        return self.scalar(exponent)
+        digits = token[1:] if token[:1] in ("+", "-") else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"cannot parse scalar token {token!r}")
+        return self.scalar(int(token))
 
     def format(self, s: "Scalar") -> str:
         if s.group != self:

@@ -9,7 +9,6 @@ from cdloops import (
     CDLoop,
     TableFormatError,
     find_isomorphism,
-    fixes_center_setwise,
     make_product,
     make_scalar_group,
     parse_loop_table,
@@ -238,11 +237,12 @@ def test_parse_diagnostics():
         parse_loop_table("loop-table v1 2\n0 1\n1 x\n")
     with pytest.raises(TableFormatError, match="3 entries"):
         parse_loop_table("loop-table v1 2\n0 1 1\n1 0\n")
-    for entry in (2**70, -(2**70)):
-        with pytest.raises(TableFormatError, match="row 1 has an entry outside 0..1"):
-            parse_loop_table(f"loop-table v1 2\n0 1\n1 {entry}\n")
+    with pytest.raises(TableFormatError, match="row 1 has an entry outside 0..1"):
+        parse_loop_table(f"loop-table v1 2\n0 1\n1 {2**70}\n")
     # int() reads all of these, but loop-table v1 writes none of them.
-    for rows, bad in (("0 +1\n+1 0", 0), ("0 1\n1 0_0", 1), ("\u0660 1\n1 \u0660", 0)):
+    for rows, bad in (
+        ("0 +1\n+1 0", 0), ("0 1\n1 0_0", 1), ("\u0660 1\n1 \u0660", 0), (f"0 1\n1 {-(2**70)}", 1)
+    ):
         with pytest.raises(TableFormatError, match=f"row {bad} contains a non-integer entry"):
             parse_loop_table(f"loop-table v1 2\n{rows}\n")
     for size in ("+2", "-2", "\u0662", "2_0", "\u00b2"):
@@ -253,6 +253,20 @@ def test_parse_diagnostics():
             parse_loop_table(text)
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("loop-table v1 1\n-0\n", 0),
+        ("loop-table v1 2\n-00 1\n1 0\n", 0),
+        ("loop-table v1 2\n1 0\n0 -1\n", 1),
+    ],
+)
+def test_parse_rejects_signed_entries(text, row):
+    # loop-table v1 writes no sign, so "-0" is not another spelling of 0.
+    with pytest.raises(TableFormatError, match=f"^row {row} contains a non-integer entry$"):
+        parse_loop_table(text)
+
+
 def test_parse_charges_the_header_size_before_reading_rows():
     text = serialize_loop_table(O16)
     assert parse_loop_table(text, max_elements=16 * 16) == O16
@@ -261,6 +275,33 @@ def test_parse_charges_the_header_size_before_reading_rows():
     # The rows below the header are never read, so their defects go unseen.
     with pytest.raises(BudgetExceeded, match="table parse"):
         parse_loop_table("loop-table v1 1000\nnot a row\n", max_elements=10)
+
+
+def test_tables_are_read_only():
+    # The cached center, orders, signatures and word program describe the
+    # table, so no loop may be changed through it.
+    loops = [
+        to_table(CDLoop.all_minus_one(Z2, 2)),
+        Q8.relabel([0, 2, 1, 7, 4, 6, 5, 3]),
+        O16.subloop(O16.closure([1, 2])),
+        parse_loop_table(serialize_loop_table(O16)),
+        parse_loop_table("loop-table v1 2\n1 0\n0 1\n"),  # relabelled to identity 0
+        AbstractLoop([[0, 1], [1, 0]]),
+    ]
+    for loop in loops:
+        with pytest.raises(ValueError, match="read-only"):
+            loop.table[0, 0] = 1
+
+
+def test_a_writable_table_is_copied_and_a_read_only_one_kept():
+    assert AbstractLoop(Q8.table).table is Q8.table
+    arr = Q8.table.copy()
+    loop = AbstractLoop(arr)
+    arr[1] = arr[1, ::-1].copy()
+    with pytest.raises(TableFormatError, match="no two-sided identity"):
+        AbstractLoop(arr, validate=False)
+    assert np.array_equal(loop.table, Q8.table)
+    assert loop.center() == [0, 4]
 
 
 def test_relabel_is_an_isomorphism():
@@ -305,7 +346,7 @@ def test_isomorphisms_respect_the_center():
     shuffled, _ = random_relabel(O16, rng)
     w = find_isomorphism(O16, shuffled)
     assert w is not None
-    assert fixes_center_setwise(O16, shuffled, w)
+    assert {w[c] for c in O16.center()} == set(shuffled.center())
 
 
 def test_find_isomorphism_size_guard():

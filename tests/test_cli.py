@@ -210,6 +210,28 @@ def test_import_rejects_corrupt_tables(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "body", ["-0\n", "-00 1\n1 0\n", "1 0\n0 -1\n"], ids=["-0", "-00", "0 -1"]
+)
+def test_import_rejects_signed_entries_in_one_line(capsys, tmp_path, body):
+    bad = tmp_path / "signed.txt"
+    bad.write_text(f"loop-table v1 {body.count(chr(10))}\n{body}")
+    code, out, err = run_cli(capsys, "import", "--table", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "contains a non-integer entry" in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663"])
+def test_build_rejects_non_ascii_or_separated_scalar_tokens(capsys, token):
+    code, out, err = run_cli(capsys, "build", "--z-order", "12", "--gammas", f"{token},-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "cannot parse scalar token" in err
+
+
 def test_decompose_cli(capsys, tmp_path):
     table = tmp_path / "prod.txt"
     run_cli(

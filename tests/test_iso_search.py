@@ -208,7 +208,7 @@ def test_word_program_rebuilds_every_element_from_the_ladder():
     rng = random.Random(3)
     loop = fixed_zero_relabel(to_table(random_product(rng, 2, 2, 4)), rng)
     program = loop._word_program
-    assert [step.g for step in program] == loop._generator_ladder
+    assert [step.g for step in program] == reference_ladder(loop)
     known = {loop.identity}
     for step in program:
         assert step.g not in known
@@ -231,4 +231,4 @@ def test_ladder_equals_the_reference_greedy_ladder(dims):
     assert table.size <= 256
     for loop in (table, fixed_zero_relabel(table, rng)):
         fresh = AbstractLoop(loop.table, validate=False)
-        assert fresh._generator_ladder == reference_ladder(loop)
+        assert [s.g for s in fresh._word_program] == reference_ladder(loop)

@@ -86,7 +86,7 @@ def reference_parse(text: str, max_elements: int | None = None) -> AbstractLoop:
         parts = line.split()
         if len(parts) != n:
             raise TableFormatError(f"row {i} has {len(parts)} entries, expected {n}")
-        if not line.isascii() or "+" in line or "_" in line:
+        if not line.isascii() or "+" in line or "-" in line or "_" in line:
             raise TableFormatError(f"row {i} contains a non-integer entry")
         try:
             rows.append(np.fromiter(map(int, parts), dtype=np.int64, count=n))

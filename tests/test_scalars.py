@@ -61,6 +61,18 @@ def test_parse_shorthands_and_exponents():
         z.parse("banana")
 
 
+def test_parse_reads_only_a_sign_and_ascii_digits():
+    z = make_scalar_group(12)
+    assert z.parse("+5") == Scalar(z, 5)
+    assert z.parse("-5") == Scalar(z, 7)
+    assert z.parse("-13") == Scalar(z, 11)
+    assert z.parse(" 013 ") == Scalar(z, 1)
+    # int() reads digit separators and non-ASCII digits; the CLI does not.
+    for token in ("1_0", "\u0663", "\u00b2", "+-1", "--1", "+", "-", "", "1 0", "1.0", "0x3"):
+        with pytest.raises(ValueError, match="^cannot parse scalar token"):
+            z.parse(token)
+
+
 def test_format_round_trips():
     for order in (2, 4, 8):
         z = make_scalar_group(order)
