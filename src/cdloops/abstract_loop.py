@@ -193,7 +193,7 @@ class AbstractLoop:
 
     def relabel(self, perm) -> "AbstractLoop":
         """Transport the table along i -> perm[i]."""
-        p = np.asarray(perm, dtype=np.int64)
+        p = np.asarray(perm)
         if not _is_permutation(p, self.size):
             raise ValueError(f"relabeling must be a permutation of 0..{self.size - 1}")
         new = np.empty_like(self.table)
@@ -501,14 +501,19 @@ def verify_isomorphism(left: AbstractLoop, right: AbstractLoop, mapping) -> bool
     """Full N^2 check that mapping transports left's table onto right's."""
     if left.size != right.size:
         return False
-    p = np.asarray(mapping, dtype=np.int64)
+    p = np.asarray(mapping)
     if not _is_permutation(p, left.size):
         return False
     return bool(np.array_equal(p[left.table], right.table[p[:, None], p[None, :]]))
 
 
 def _is_permutation(p: np.ndarray, n: int) -> bool:
-    return p.shape == (n,) and np.array_equal(np.sort(p), np.arange(n))
+    """Integer entries only: floats, strings and bools are never cast."""
+    return (
+        p.dtype.kind in "iu"
+        and p.shape == (n,)
+        and np.array_equal(np.sort(p), np.arange(n))
+    )
 
 
 def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | None:

@@ -41,7 +41,7 @@ from .analytics import (
     two_factor_commutativity_closed,
 )
 from .budget import resolve_max_elements
-from .cdloop import CDLoop
+from .cdloop import MAX_GENERATORS, CDLoop
 from .central_product import make_product
 from .decompose import DecompositionError, factor_compatibility, match_factors, recover_factors
 from .errors import BudgetExceeded
@@ -82,35 +82,28 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-class _Runner:
-    def __init__(self):
-        self.report = VerifyReport()
+# The expected value of an info row: its value is recorded, never judged.
+_INFO = object()
 
-    def check(self, name: str, source: str, expected, compute) -> None:
-        """Run one check; compute() returns the actual value."""
-        status, actual = self._run(compute)
-        if status is None:
-            status = "pass" if actual == expected else "fail"
-        self.report.checks.append(
-            CheckResult(name, status, str(expected), str(actual), source)
-        )
 
-    def info(self, name: str, source: str, compute) -> None:
-        status, actual = self._run(compute)
-        if status == "skipped":
-            actual = f"skipped: {actual}"
-        self.report.checks.append(CheckResult(name, "info", "n/a", str(actual), source))
+def _judge(name: str, source: str, expected, compute) -> CheckResult:
+    """Run one row; compute() returns the actual value.
 
-    @staticmethod
-    def _run(compute) -> tuple[str | None, object]:
-        """(None, value) of compute(), or the status and text of its error:
-        BudgetExceeded is skipped, any other error fails as `Type: message`."""
-        try:
-            return None, compute()
-        except BudgetExceeded as exc:
-            return "skipped", str(exc)
-        except Exception as exc:
-            return "fail", f"{type(exc).__name__}: {exc}"
+    BudgetExceeded is reported as skipped, any other error fails as
+    `Type: message`, and an info row records its value or `skipped: ...`.
+    """
+    try:
+        actual, status = compute(), None
+    except BudgetExceeded as exc:
+        actual, status = exc, "skipped"
+    except Exception as exc:
+        actual, status = f"{type(exc).__name__}: {exc}", "fail"
+    if expected is _INFO:
+        text = f"skipped: {actual}" if status == "skipped" else str(actual)
+        return CheckResult(name, "info", "n/a", text, source)
+    if status is None:
+        status = "pass" if actual == expected else "fail"
+    return CheckResult(name, status, str(expected), str(actual), source)
 
 
 def _expect_raises(fn, exc_type, needle: str | None = None) -> str:
@@ -155,8 +148,326 @@ def _dihedral_table(rotations: int) -> list[list[int]]:
     return table
 
 
-def _half_set(order: int) -> set[int]:
-    return {0, order // 2}
+def _minus_one(z_order: int, n: int, m: int | None = None):
+    """(-1, ..., -1) of depth n over Z of z_order; with m, the product of m copies."""
+    z = make_scalar_group(z_order)
+    loop = CDLoop.all_minus_one(z, n)
+    return loop if m is None else make_product(z, [loop] * m)
+
+
+def _images_in_pm1(loops, me: int) -> bool:
+    return all(
+        commutator_exponent_image(L, me) <= {0, L.z.order // 2}
+        and associator_exponent_image(L, me) <= {0, L.z.order // 2}
+        for L in loops
+    )
+
+
+def _conj_is_anti_automorphism(L: CDLoop, elems) -> bool:
+    return all(L.conj(L.conj(x)) == x for x in elems) and all(
+        L.conj(L.mul(x, y)) == L.mul(L.conj(y), L.conj(x))
+        for x in elems
+        for y in elems
+    )
+
+
+def _mask_map_is_onto_with_kernel_z(L: CDLoop, elems) -> bool:
+    sample = elems[:: max(1, len(elems) // 8)]
+    return (
+        {x.mask for x in elems} == set(range(1 << L.n))
+        and sum(1 for x in elems if x.mask == 0) == L.z.order
+        and all(L.mul(x, y).mask == x.mask ^ y.mask for x in sample for y in sample)
+    )
+
+
+def _roundtrip_trials(n, m, zo, trials, rng, me, pivots: list[bool]) -> str:
+    """Build, relabel, re-read and split `trials` random products.
+
+    The first trial also splits the table with its labels reversed, and
+    appends to `pivots` whether both pivot orders found the same subsets.
+    """
+    z = make_scalar_group(zo)
+    for t in range(trials):
+        factors = [
+            CDLoop(z, tuple(Scalar(z, rng.randrange(zo)) for _ in range(n)))
+            for _ in range(m)
+        ]
+        original = to_table(make_product(z, factors), me)
+        shuffled, _ = random_relabel(original, rng)
+        parsed = parse_loop_table(serialize_loop_table(shuffled))
+        dec = recover_factors(parsed, n)
+        if dec.m != m or dec.z_size != zo:
+            return f"trial {t}: recovered shape ({dec.m}, {dec.z_size})"
+        if dec.rank_histogram() != rank_census_closed(m, n, zo):
+            return f"trial {t}: rank histogram {dec.rank_histogram()}"
+        base = recover_factors(original, n)
+        if match_factors(factor_compatibility(dec, base)) is None:
+            return f"trial {t}: factors do not match the originals"
+        for j, D in enumerate(base.factors):
+            if find_isomorphism(D, to_table(factors[j], me)) is None:
+                return f"trial {t}: factor {j} differs from its constructor"
+        if t == 0:
+            # Upward pivots on the reversed labels scan parsed downward.
+            top = parsed.size - 1
+            desc = recover_factors(parsed.relabel(range(top, -1, -1)), n)
+            pivots.append(
+                sorted(tuple(sorted(top - x for x in s)) for s in desc.subsets)
+                == sorted(map(tuple, dec.subsets))
+            )
+    return "all trials succeeded"
+
+
+# Closed forms against reference and hand-derived values.
+_CLOSED_FORMS = (
+    ("assoc-degree-closed-n2-is-1", "reference", Fraction(1),
+     lambda: associativity_degree_closed(2).degree),
+    ("assoc-degree-closed-n3-is-43/64", "reference", Fraction(43, 64),
+     lambda: associativity_degree_closed(3).degree),
+    ("assoc-degree-closed-n4-is-197/512", "derived", Fraction(197, 512),
+     lambda: associativity_degree_closed(4).degree),
+    ("comm-degree-closed-m1-n2-is-5/8", "derived", Fraction(5, 8),
+     lambda: commutativity_degree_closed(1, 2).degree),
+    ("comm-degree-closed-m2-n2-is-17/32", "derived", Fraction(17, 32),
+     lambda: commutativity_degree_closed(2, 2).degree),
+    ("comm-degree-closed-m2-n3-is-281/512", "derived", Fraction(281, 512),
+     lambda: commutativity_degree_closed(2, 3).degree),
+    ("b2-at-n3-is-5/8", "derived", Fraction(5, 8), lambda: b_k_closed(3, 2)),
+    ("bk-satisfies-its-recurrence", "reference", True, lambda: all(
+        b_k_closed(n, k)
+        == Fraction(1, 2 ** (n - 1)) * b_k_closed(n, k - 1)
+        + (1 - Fraction(1, 2 ** (n - 1))) * (1 - b_k_closed(n, k - 1))
+        for n in range(2, 7)
+        for k in range(1, 9)
+    )),
+    ("two-factor-polynomial-matches-general-form", "reference", True, lambda: all(
+        two_factor_commutativity_closed(n) == commutativity_degree_closed(2, n).degree
+        for n in range(1, 13)
+    )),
+    ("census-closed-m2-n3-z2-is-2-28-98", "derived", [2, 28, 98],
+     lambda: rank_census_closed(2, 3, 2)),
+)
+
+# Limit behaviour of the commutativity degree.
+_LIMITS = (
+    ("pc-strictly-increasing-in-n-m2", "reference", True, lambda: all(
+        a < b
+        for (_, a), (_, b) in zip(
+            pc_limit_table("grow_n", 2, 2, 10), pc_limit_table("grow_n", 2, 3, 10)
+        )
+    )),
+    ("pc-m2-n10-exceeds-0.99", "reference", True,
+     lambda: pc_limit_table("grow_n", 2, 10, 10)[0][1] > Fraction(99, 100)),
+    ("pc-m40-n2-within-0.01-of-half", "reference", True,
+     lambda: abs(commutativity_degree_closed(40, 2).degree - Fraction(1, 2))
+     < Fraction(1, 100)),
+    ("pc-decreasing-to-half-in-m-n2", "derived", True, lambda: all(
+        a > b > Fraction(1, 2)
+        for (_, a), (_, b) in zip(
+            pc_limit_table("grow_m", 2, 1, 12), pc_limit_table("grow_m", 2, 2, 12)
+        )
+    )),
+)
+
+
+def _checks(max_n, max_m, z_orders, trials, rng, me):
+    """Yield the suite's (name, source, expected, compute) rows in report order.
+
+    Each row is judged before the next is drawn, so a compute may read the
+    loop variables current at its yield, and the seeded rng is consumed in
+    row order.
+    """
+    yield from _CLOSED_FORMS
+
+    # -- brute force against closed forms --------------------------------------
+    for n in range(2, max_n + 1):
+        for zo in z_orders:
+            yield (
+                f"assoc-degree-brute-vs-closed-n{n}-z{zo}", "enumeration",
+                associativity_degree_closed(n, zo).degree,
+                lambda: associativity_degree_brute(_minus_one(zo, n), me).degree,
+            )
+    for n in range(2, max_n + 1):
+        yield (
+            f"comm-degree-brute-vs-closed-m2-n{n}-z2", "enumeration",
+            commutativity_degree_closed(2, n, 2).degree,
+            lambda: commutativity_degree_brute(_minus_one(2, n, 2), me).degree,
+        )
+    yield (
+        "comm-degree-brute-m1-n2-q8", "enumeration", Fraction(5, 8),
+        lambda: commutativity_degree_brute(_minus_one(2, 2), me).degree,
+    )
+    z2 = make_scalar_group(2)
+    yield (
+        "comm-degree-independent-of-gammas-m2-n3", "enumeration", True,
+        lambda: all(
+            commutativity_degree_brute(
+                make_product(z2, [CDLoop(z2, gammas), _minus_one(2, 3)]), me
+            ).degree
+            == commutativity_degree_closed(2, 3, 2).degree
+            for gammas in _gamma_variants(z2, 3)[1:]
+        ),
+    )
+
+    # -- commutant ratios and censuses over the acceptance grid ----------------
+    # Products are equal by value, so each grid product is surveyed once
+    # however many checks read it; a budget skip is not cached.
+    coset_sizes = functools.cache(lambda A: commutant_coset_sizes(A, me))
+    for m in range(1, max_m + 1):
+        for n in range(3, max_n + 1):
+            if m * n > 9:
+                continue
+            A = _minus_one(2, n, m)
+            yield (
+                f"commutant-ratios-match-bk-m{m}-n{n}-z2", "enumeration", True,
+                lambda: all(
+                    Fraction(size, A.coset_count) == b_k_closed(n, int(rank))
+                    for size, rank in zip(coset_sizes(A), A.coset_ranks())
+                ),
+            )
+            yield (
+                f"rank1-commutant-coset-size-m{m}-n{n}-z2", "reference", True,
+                lambda: bool(
+                    (np.array(coset_sizes(A))[A.coset_ranks() == 1]
+                     == 2 ** ((m - 1) * n + 1)).all()
+                ),
+            )
+            yield (
+                f"census-brute-vs-closed-m{m}-n{n}-z2", "enumeration",
+                rank_census_closed(m, n, 2), lambda: rank_census_brute(A, me),
+            )
+    if 4 in z_orders and max_m >= 2 and max_n >= 3:
+        yield (
+            "census-brute-vs-closed-m2-n3-z4", "enumeration",
+            rank_census_closed(2, 3, 4),
+            lambda: rank_census_brute(_minus_one(4, 3, 2), me),
+        )
+
+    def _commutant_elements_consistent() -> bool:
+        A = _minus_one(2, 3, 2)
+        sizes = coset_sizes(A)
+        picks = (A.element(z2.one, masks) for masks in ((1, 0), (1, 2)))
+        return all(len(commutant(A, x, me)) == sizes[x.mask] * z2.order for x in picks)
+
+    yield (
+        "commutant-elements-agree-with-coset-survey-m2-n3", "enumeration", True,
+        _commutant_elements_consistent,
+    )
+    yield from _LIMITS
+
+    # -- structural identities over a gamma sweep ---------------------------------
+    swept = [
+        CDLoop(z, gammas)
+        for z in map(make_scalar_group, z_orders)
+        for n in range(1, min(max_n, 4) + 1)
+        for gammas in _gamma_variants(z, n)
+    ]
+    yield (
+        "di-associativity-across-sweep", "reference", True,
+        lambda: all(is_di_associative(L, me) for L in swept),
+    )
+    yield (
+        "commutators-and-associators-in-pm1-across-sweep", "reference", True,
+        lambda: _images_in_pm1(swept, me),
+    )
+    products = [(zo, n) for zo in z_orders for n in (2, 3) if max_m >= 2 and n <= max_n]
+    yield (
+        "product-commutators-and-associators-in-pm1", "reference", True,
+        lambda: _images_in_pm1((_minus_one(zo, n, 2) for zo, n in products), me),
+    )
+    yield (
+        "conj-is-an-involutory-anti-automorphism", "reference", True,
+        lambda: all(
+            _conj_is_anti_automorphism(L, L.elements(me)) for L in swept if L.n <= 3
+        ),
+    )
+    yield (
+        "inverses-are-two-sided", "direct", True,
+        lambda: all(
+            L.mul(x, L.inv(x)) == L.identity and L.mul(L.inv(x), x) == L.identity
+            for L in swept
+            for x in L.elements(me)
+        ),
+    )
+    yield (
+        "mask-map-quotient-is-elementary-abelian", "direct", True,
+        lambda: all(_mask_map_is_onto_with_kernel_z(L, L.elements(me)) for L in swept),
+    )
+    yield (
+        "to-table-yields-latin-squares-across-sweep", "direct", True,
+        lambda: all(
+            AbstractLoop(to_table(L, me).table).size == L.order
+            for L in swept
+            if L.order <= 256
+        ),
+    )
+    for zo in z_orders:
+        yield (
+            f"moufang-identity-n3-z{zo}", "reference", True,
+            lambda: moufang_identity_holds(_minus_one(zo, 3), me),
+        )
+    if max_n >= 4:
+        yield (
+            "moufang-identity-n4-z2", "enumeration", _INFO,
+            lambda: moufang_identity_holds(_minus_one(2, 4), me),
+        )
+
+    # -- table round trips and isomorphism search ----------------------------------
+    o16 = functools.cache(lambda: to_table(_minus_one(2, 3), me))
+    yield (
+        "loop-table-serialize-parse-roundtrip", "direct", True,
+        lambda: parse_loop_table(serialize_loop_table(o16())) == o16(),
+    )
+    yield (
+        "iso-search-finds-self-relabeling", "enumeration", True,
+        lambda: find_isomorphism(o16(), random_relabel(o16(), rng)[0]) is not None,
+    )
+    yield (
+        "iso-search-separates-q8-from-mixed-gamma-loop", "enumeration", True,
+        lambda: find_isomorphism(
+            to_table(_minus_one(2, 2), me),
+            to_table(CDLoop(z2, (z2.one, z2.minus_one)), me),
+        )
+        is None,
+    )
+
+    # -- decomposition -------------------------------------------------------------
+    yield (
+        "decompose-rejects-depth-2", "direct", "raised ValueError",
+        lambda: _expect_raises(
+            lambda: recover_factors(to_table(_minus_one(2, 2), me), 2),
+            ValueError,
+            "n >= 3",
+        ),
+    )
+    yield (
+        "decompose-rejects-dihedral-group", "derived", "raised DecompositionError",
+        lambda: _expect_raises(
+            lambda: recover_factors(AbstractLoop(_dihedral_table(8)), 3),
+            DecompositionError,
+        ),
+    )
+    combos = [
+        (n, m, zo)
+        for n in (3, 4)
+        if n <= max_n
+        for m in (1, 2)
+        if m <= max_m
+        for zo in z_orders
+    ]
+    per_combo = -(-trials // max(1, len(combos)))
+    pivots: list[bool] = []
+    for n, m, zo in combos:
+        yield (
+            f"decompose-roundtrip-n{n}-m{m}-z{zo}-x{per_combo}", "enumeration",
+            "all trials succeeded",
+            lambda: _roundtrip_trials(n, m, zo, per_combo, rng, me, pivots),
+        )
+    yield (
+        "decompose-pivot-order-invariance", "enumeration", _INFO,
+        lambda: "not compared: no decompose round trip reached the comparison"
+        if not pivots
+        else f"ascending and descending pivots split identically: {all(pivots)}",
+    )
 
 
 def run_verify(
@@ -169,471 +480,17 @@ def run_verify(
 ) -> VerifyReport:
     """Run the whole cross-check suite and return its report.
 
-    An invalid budget raises ValueError before the first check runs.
+    An invalid budget or option raises ValueError before the first check runs.
     """
     me = resolve_max_elements(max_elements)
-    r = _Runner()
-    rng = random.Random(seed)
-
-    # -- closed forms against reference and hand-derived values ---------------
-    r.check(
-        "assoc-degree-closed-n2-is-1",
-        "reference",
-        Fraction(1),
-        lambda: associativity_degree_closed(2).degree,
-    )
-    r.check(
-        "assoc-degree-closed-n3-is-43/64",
-        "reference",
-        Fraction(43, 64),
-        lambda: associativity_degree_closed(3).degree,
-    )
-    r.check(
-        "assoc-degree-closed-n4-is-197/512",
-        "derived",
-        Fraction(197, 512),
-        lambda: associativity_degree_closed(4).degree,
-    )
-    r.check(
-        "comm-degree-closed-m1-n2-is-5/8",
-        "derived",
-        Fraction(5, 8),
-        lambda: commutativity_degree_closed(1, 2).degree,
-    )
-    r.check(
-        "comm-degree-closed-m2-n2-is-17/32",
-        "derived",
-        Fraction(17, 32),
-        lambda: commutativity_degree_closed(2, 2).degree,
-    )
-    r.check(
-        "comm-degree-closed-m2-n3-is-281/512",
-        "derived",
-        Fraction(281, 512),
-        lambda: commutativity_degree_closed(2, 3).degree,
-    )
-    r.check(
-        "b2-at-n3-is-5/8",
-        "derived",
-        Fraction(5, 8),
-        lambda: b_k_closed(3, 2),
-    )
-    r.check(
-        "bk-satisfies-its-recurrence",
-        "reference",
-        True,
-        lambda: all(
-            b_k_closed(n, k)
-            == Fraction(1, 2 ** (n - 1)) * b_k_closed(n, k - 1)
-            + (1 - Fraction(1, 2 ** (n - 1))) * (1 - b_k_closed(n, k - 1))
-            for n in range(2, 7)
-            for k in range(1, 9)
-        ),
-    )
-    r.check(
-        "two-factor-polynomial-matches-general-form",
-        "reference",
-        True,
-        lambda: all(
-            two_factor_commutativity_closed(n)
-            == commutativity_degree_closed(2, n).degree
-            for n in range(1, 13)
-        ),
-    )
-    r.check(
-        "census-closed-m2-n3-z2-is-2-28-98",
-        "derived",
-        [2, 28, 98],
-        lambda: rank_census_closed(2, 3, 2),
-    )
-
-    # -- brute force against closed forms --------------------------------------
-    for n in range(2, max_n + 1):
-        for zo in z_orders:
-            r.check(
-                f"assoc-degree-brute-vs-closed-n{n}-z{zo}",
-                "enumeration",
-                associativity_degree_closed(n, zo).degree,
-                lambda n=n, zo=zo: associativity_degree_brute(
-                    CDLoop.all_minus_one(make_scalar_group(zo), n), me
-                ).degree,
-            )
-    for n in range(2, max_n + 1):
-        z = make_scalar_group(2)
-        A = make_product(z, [CDLoop.all_minus_one(z, n) for _ in range(2)])
-        r.check(
-            f"comm-degree-brute-vs-closed-m2-n{n}-z2",
-            "enumeration",
-            commutativity_degree_closed(2, n, 2).degree,
-            lambda A=A: commutativity_degree_brute(A, me).degree,
-        )
-    r.check(
-        "comm-degree-brute-m1-n2-q8",
-        "enumeration",
-        Fraction(5, 8),
-        lambda: commutativity_degree_brute(
-            CDLoop.all_minus_one(make_scalar_group(2), 2), me
-        ).degree,
-    )
-
-    def _mixed_gamma_comm() -> bool:
-        z = make_scalar_group(2)
-        closed = commutativity_degree_closed(2, 3, 2).degree
-        return all(
-            commutativity_degree_brute(
-                make_product(z, [CDLoop(z, gammas), CDLoop.all_minus_one(z, 3)]), me
-            ).degree
-            == closed
-            for gammas in _gamma_variants(z, 3)[1:]
-        )
-
-    r.check(
-        "comm-degree-independent-of-gammas-m2-n3",
-        "enumeration",
-        True,
-        _mixed_gamma_comm,
-    )
-
-    # -- commutant ratios and censuses over the acceptance grid ----------------
-    # Products are equal by value, so each grid product is surveyed once
-    # however many checks read it; a budget skip is not cached.
-    coset_sizes = functools.cache(lambda A: commutant_coset_sizes(A, me))
-    grid = [
-        (m, n)
-        for m in range(1, max_m + 1)
-        for n in range(3, max_n + 1)
-        if m * n <= 9
-    ]
-    for m, n in grid:
-        z = make_scalar_group(2)
-        A = make_product(z, [CDLoop.all_minus_one(z, n) for _ in range(m)])
-
-        def _ratios_match(A=A, n=n) -> bool:
-            return all(
-                Fraction(size, A.coset_count) == b_k_closed(n, int(rank))
-                for size, rank in zip(coset_sizes(A), A.coset_ranks())
-            )
-
-        r.check(
-            f"commutant-ratios-match-bk-m{m}-n{n}-z2",
-            "enumeration",
-            True,
-            _ratios_match,
-        )
-
-        def _rank1_size(A=A, m=m, n=n) -> bool:
-            sizes = np.array(coset_sizes(A))
-            return bool((sizes[A.coset_ranks() == 1] == 2 ** ((m - 1) * n + 1)).all())
-
-        r.check(
-            f"rank1-commutant-coset-size-m{m}-n{n}-z2",
-            "reference",
-            True,
-            _rank1_size,
-        )
-        r.check(
-            f"census-brute-vs-closed-m{m}-n{n}-z2",
-            "enumeration",
-            rank_census_closed(m, n, 2),
-            lambda A=A: rank_census_brute(A, me),
-        )
-
-    if 4 in z_orders and max_m >= 2 and max_n >= 3:
-        z4 = make_scalar_group(4)
-        A4 = make_product(z4, [CDLoop.all_minus_one(z4, 3) for _ in range(2)])
-        r.check(
-            "census-brute-vs-closed-m2-n3-z4",
-            "enumeration",
-            rank_census_closed(2, 3, 4),
-            lambda: rank_census_brute(A4, me),
-        )
-
-    def _commutant_elements_consistent() -> bool:
-        z = make_scalar_group(2)
-        A = make_product(z, [CDLoop.all_minus_one(z, 3) for _ in range(2)])
-        sizes = coset_sizes(A)
-        picks = (A.element(z.one, masks) for masks in ((1, 0), (1, 2)))
-        return all(len(commutant(A, x, me)) == sizes[x.mask] * z.order for x in picks)
-
-    r.check(
-        "commutant-elements-agree-with-coset-survey-m2-n3",
-        "enumeration",
-        True,
-        _commutant_elements_consistent,
-    )
-
-    # -- limit behaviour ---------------------------------------------------------
-    r.check(
-        "pc-strictly-increasing-in-n-m2",
-        "reference",
-        True,
-        lambda: all(
-            a < b
-            for (_, a), (_, b) in zip(
-                pc_limit_table("grow_n", 2, 2, 10), pc_limit_table("grow_n", 2, 3, 10)
-            )
-        ),
-    )
-    r.check(
-        "pc-m2-n10-exceeds-0.99",
-        "reference",
-        True,
-        lambda: pc_limit_table("grow_n", 2, 10, 10)[0][1] > Fraction(99, 100),
-    )
-    r.check(
-        "pc-m40-n2-within-0.01-of-half",
-        "reference",
-        True,
-        lambda: abs(commutativity_degree_closed(40, 2).degree - Fraction(1, 2))
-        < Fraction(1, 100),
-    )
-    r.check(
-        "pc-decreasing-to-half-in-m-n2",
-        "derived",
-        True,
-        lambda: all(
-            a > b > Fraction(1, 2)
-            for (_, a), (_, b) in zip(
-                pc_limit_table("grow_m", 2, 1, 12), pc_limit_table("grow_m", 2, 2, 12)
-            )
-        ),
-    )
-
-    # -- structural identities over a gamma sweep ---------------------------------
-    swept: list[CDLoop] = []
-    for zo in z_orders:
-        z = make_scalar_group(zo)
-        for n in range(1, min(max_n, 4) + 1):
-            for gammas in _gamma_variants(z, n):
-                swept.append(CDLoop(z, gammas))
-
-    r.check(
-        "di-associativity-across-sweep",
-        "reference",
-        True,
-        lambda: all(is_di_associative(L, me) for L in swept),
-    )
-
-    def _images_in_pm1(loops) -> bool:
-        return all(
-            commutator_exponent_image(L, me) <= _half_set(L.z.order)
-            and associator_exponent_image(L, me) <= _half_set(L.z.order)
-            for L in loops
-        )
-
-    r.check(
-        "commutators-and-associators-in-pm1-across-sweep",
-        "reference",
-        True,
-        lambda: _images_in_pm1(swept),
-    )
-    r.check(
-        "product-commutators-and-associators-in-pm1",
-        "reference",
-        True,
-        lambda: _images_in_pm1(
-            make_product(z, [CDLoop.all_minus_one(z, n)] * m)
-            for z in map(make_scalar_group, z_orders)
-            for m, n in ((2, 2), (2, 3))
-            if m <= max_m and n <= max_n
-        ),
-    )
-
-    def _conj_anti_automorphism() -> bool:
-        for L in swept:
-            if L.n > 3:
-                continue
-            elems = L.elements(me)
-            for x in elems:
-                if L.conj(L.conj(x)) != x:
-                    return False
-            for x in elems:
-                for y in elems:
-                    if L.conj(L.mul(x, y)) != L.mul(L.conj(y), L.conj(x)):
-                        return False
-        return True
-
-    r.check(
-        "conj-is-an-involutory-anti-automorphism",
-        "reference",
-        True,
-        _conj_anti_automorphism,
-    )
-
-    def _two_sided_inverses() -> bool:
-        for L in swept:
-            for x in L.elements(me):
-                if L.mul(x, L.inv(x)) != L.identity:
-                    return False
-                if L.mul(L.inv(x), x) != L.identity:
-                    return False
-        return True
-
-    r.check("inverses-are-two-sided", "direct", True, _two_sided_inverses)
-
-    def _mask_map_is_onto_with_kernel_z() -> bool:
-        for L in swept:
-            elems = L.elements(me)
-            masks = {x.mask for x in elems}
-            if masks != set(range(1 << L.n)):
-                return False
-            if sum(1 for x in elems if x.mask == 0) != L.z.order:
-                return False
-            for x in elems[:: max(1, len(elems) // 8)]:
-                for y in elems[:: max(1, len(elems) // 8)]:
-                    if L.mul(x, y).mask != x.mask ^ y.mask:
-                        return False
-        return True
-
-    r.check(
-        "mask-map-quotient-is-elementary-abelian",
-        "direct",
-        True,
-        _mask_map_is_onto_with_kernel_z,
-    )
-
-    r.check(
-        "to-table-yields-latin-squares-across-sweep",
-        "direct",
-        True,
-        lambda: all(
-            AbstractLoop(to_table(L, me).table).size == L.order
-            for L in swept
-            if L.order <= 256
-        ),
-    )
-
-    for zo in z_orders:
-        r.check(
-            f"moufang-identity-n3-z{zo}",
-            "reference",
-            True,
-            lambda zo=zo: moufang_identity_holds(
-                CDLoop.all_minus_one(make_scalar_group(zo), 3), me
-            ),
-        )
-    if max_n >= 4:
-        r.info(
-            "moufang-identity-n4-z2",
-            "enumeration",
-            lambda: moufang_identity_holds(
-                CDLoop.all_minus_one(make_scalar_group(2), 4), me
-            ),
-        )
-
-    # -- table round trips and isomorphism search ----------------------------------
-    z2 = make_scalar_group(2)
-    o16 = functools.cache(lambda: to_table(CDLoop.all_minus_one(z2, 3), me))
-
-    def _table_roundtrip() -> bool:
-        return parse_loop_table(serialize_loop_table(o16())) == o16()
-
-    r.check("loop-table-serialize-parse-roundtrip", "direct", True, _table_roundtrip)
-
-    def _iso_roundtrip() -> bool:
-        shuffled, _ = random_relabel(o16(), rng)
-        return find_isomorphism(o16(), shuffled) is not None
-
-    r.check("iso-search-finds-self-relabeling", "enumeration", True, _iso_roundtrip)
-
-    def _iso_distinguishes() -> bool:
-        q8 = to_table(CDLoop.all_minus_one(z2, 2), me)
-        split = to_table(
-            CDLoop(z2, (z2.one, z2.minus_one)), me
-        )
-        return find_isomorphism(q8, split) is None
-
-    r.check(
-        "iso-search-separates-q8-from-mixed-gamma-loop",
-        "enumeration",
-        True,
-        _iso_distinguishes,
-    )
-
-    # -- decomposition -------------------------------------------------------------
-    r.check(
-        "decompose-rejects-depth-2",
-        "direct",
-        "raised ValueError",
-        lambda: _expect_raises(
-            lambda: recover_factors(to_table(CDLoop.all_minus_one(z2, 2), me), 2),
-            ValueError,
-            "n >= 3",
-        ),
-    )
-    r.check(
-        "decompose-rejects-dihedral-group",
-        "derived",
-        "raised DecompositionError",
-        lambda: _expect_raises(
-            lambda: recover_factors(AbstractLoop(_dihedral_table(8)), 3),
-            DecompositionError,
-        ),
-    )
-
-    combos = [
-        (n, m, zo)
-        for n in (3, 4)
-        if n <= max_n
-        for m in (1, 2)
-        if m <= max_m
-        for zo in z_orders
-    ]
-    per_combo = max(1, -(-trials // max(1, len(combos))))
-    # None until a round trip reaches the pivot comparison.
-    pivot_partitions_agree: bool | None = None
-
-    for n, m, zo in combos:
-
-        def _roundtrip_trials(n=n, m=m, zo=zo) -> str:
-            nonlocal pivot_partitions_agree
-            z = make_scalar_group(zo)
-            for t in range(per_combo):
-                gammas_per_factor = [
-                    tuple(Scalar(z, rng.randrange(zo)) for _ in range(n))
-                    for _ in range(m)
-                ]
-                factors = [CDLoop(z, gs) for gs in gammas_per_factor]
-                A = make_product(z, factors)
-                original = to_table(A, me)
-                shuffled, _ = random_relabel(original, rng)
-                parsed = parse_loop_table(serialize_loop_table(shuffled))
-                dec = recover_factors(parsed, n)
-                if dec.m != m or dec.z_size != zo:
-                    return f"trial {t}: recovered shape ({dec.m}, {dec.z_size})"
-                if dec.rank_histogram() != rank_census_closed(m, n, zo):
-                    return f"trial {t}: rank histogram {dec.rank_histogram()}"
-                base = recover_factors(original, n)
-                sigma = match_factors(factor_compatibility(dec, base))
-                if sigma is None:
-                    return f"trial {t}: factors do not match the originals"
-                for j, D in enumerate(base.factors):
-                    direct = to_table(factors[j], me)
-                    if find_isomorphism(D, direct) is None:
-                        return f"trial {t}: factor {j} differs from its constructor"
-                if t == 0:
-                    # Upward pivots on the reversed labels scan parsed downward.
-                    top = parsed.size - 1
-                    desc = recover_factors(parsed.relabel(range(top, -1, -1)), n)
-                    same = sorted(
-                        tuple(sorted(top - x for x in s)) for s in desc.subsets
-                    ) == sorted(map(tuple, dec.subsets))
-                    pivot_partitions_agree = same and pivot_partitions_agree is not False
-            return "all trials succeeded"
-
-        r.check(
-            f"decompose-roundtrip-n{n}-m{m}-z{zo}-x{per_combo}",
-            "enumeration",
-            "all trials succeeded",
-            _roundtrip_trials,
-        )
-
-    r.info(
-        "decompose-pivot-order-invariance",
-        "enumeration",
-        lambda: "not compared: no decompose round trip reached the comparison"
-        if pivot_partitions_agree is None
-        else f"ascending and descending pivots split identically: {pivot_partitions_agree}",
-    )
-
-    return r.report
+    if not 1 <= max_n <= MAX_GENERATORS:
+        raise ValueError(f"max_n must be in 1..{MAX_GENERATORS}, got {max_n}")
+    if max_m < 1:
+        raise ValueError(f"max_m must be at least 1, got {max_m}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    bad = [zo for zo in z_orders if zo < 2 or zo % 2]
+    if bad or not z_orders or len(set(z_orders)) < len(z_orders):
+        raise ValueError(f"z_orders must be distinct even orders >= 2, got {z_orders}")
+    rows = _checks(max_n, max_m, z_orders, trials, random.Random(seed), me)
+    return VerifyReport([_judge(*row) for row in rows])

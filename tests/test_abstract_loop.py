@@ -322,6 +322,28 @@ def test_verify_isomorphism_accepts_and_rejects():
     assert not verify_isomorphism(Q8, SPLIT, list(range(8)))
 
 
+@pytest.mark.parametrize(
+    "loop, mapping",
+    [
+        (to_table(CDLoop.all_minus_one(Z2, 1)), [0.4, 1.9, 2.2, 3.0]),
+        (to_table(CDLoop.all_minus_one(Z2, 1)), ["0", "1", "2", "3"]),
+        (to_table(CDLoop.all_minus_one(Z2, 0)), [False, True]),
+    ],
+    ids=["floats", "digit-strings", "bools"],
+)
+def test_mappings_must_hold_integers(loop, mapping):
+    # Each would truncate or parse to the identity map if cast to integers.
+    assert not verify_isomorphism(loop, loop, mapping)
+    with pytest.raises(ValueError, match="relabeling must be a permutation"):
+        loop.relabel(mapping)
+
+
+def test_unsigned_and_range_mappings_are_permutations():
+    assert verify_isomorphism(Q8, Q8, np.arange(8, dtype=np.uint8))
+    assert Q8.relabel(np.arange(8, dtype=np.uint64)) == Q8
+    assert O16.relabel(range(16)) == O16
+
+
 def test_find_isomorphism_reflexive_and_undoes_relabeling():
     assert find_isomorphism(Q8, Q8) is not None
     rng = random.Random(3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -431,6 +432,54 @@ def test_verify_rejects_an_invalid_budget_before_any_check(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: CDL_MAX_ELEMENTS must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "flags, param",
+    [
+        (["--max-n", "0"], "max_n"),
+        (["--max-n", "17", "--max-elements", "64"], "max_n"),
+        (["--max-m", "0"], "max_m"),
+        (["--trials", "0"], "trials"),
+        (["--trials", "-5"], "trials"),
+        (["--z-orders", ""], "z_orders"),
+        (["--z-orders", "3"], "z_orders"),
+        (["--z-orders", "2,0"], "z_orders"),
+        (["--z-orders", "2,-2"], "z_orders"),
+        (["--z-orders", "2,2"], "z_orders"),
+    ],
+)
+def test_verify_rejects_bad_options_before_any_check(capsys, flags, param):
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {param} must be ") and err.count("\n") == 1
+
+
+# sha256 of `python -m cdloops.cli verify <args>` stdout; the default
+# configuration is pinned in CI.
+VERIFY_STDOUT_PINS = [
+    ("--max-n 3 --max-m 2 --z-orders 2,4,6 --trials 5 --seed 7",
+     "bb3d3056acc185042cc7c698c42544d9bfba0501e12e86e9aee079574cd6a177"),
+    ("--max-n 2 --z-orders 2",
+     "c2f708dcf3b448921e0631daf45ea098bfc4fb56badf37a6fe0a8a29dc6a55ce"),
+    ("--max-n 4 --max-m 2 --trials 2 --max-elements 64",
+     "f4d6b9b0c75134eda47e627f9288742b84977c04d1e7a3d31fa1144b6d7038fc"),
+    ("--max-n 4 --max-m 2 --trials 2 --max-elements 300",
+     "f8d8d786bb9faf123408f25c96211ceac880566bc84e4bfc7a25e2fca2ff6fca"),
+]
+
+
+@pytest.mark.parametrize("args, digest", VERIFY_STDOUT_PINS)
+def test_verify_stdout_is_pinned(args, digest):
+    src = str(Path(cdloops.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "CDL_MAX_ELEMENTS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdloops.cli", "verify", *args.split()],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 # -- degrees: one descriptor for either kind ------------------------------------
