@@ -102,11 +102,22 @@ class AbstractLoop:
 
     def left_div(self, a: int, b: int) -> int:
         """The unique x with a * x = b."""
+        a, b = self._checked([a, b])
         return int(np.flatnonzero(self.table[a] == b)[0])
 
     def right_div(self, b: int, a: int) -> int:
         """The unique x with x * a = b."""
+        b, a = self._checked([b, a])
         return int(np.flatnonzero(self.table[:, a] == b)[0])
+
+    def _checked(self, indices) -> np.ndarray:
+        """indices as an int64 array, refused if any is outside 0..N-1
+        (numpy would wrap a negative one around or raise a bare error)."""
+        idx = np.fromiter(indices, dtype=np.int64)
+        bad = (idx < 0) | (idx >= self.size)
+        if bad.any():
+            raise ValueError(f"index {idx[bad][0]} is outside 0..{self.size - 1}")
+        return idx
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbstractLoop):
@@ -124,31 +135,59 @@ class AbstractLoop:
         R = a(bx): the left, middle and right nucleus laws read P = Q, P = R
         and Q = R, so any two imply the third.  Only the left law
         (xa)b = x(ab) and the middle law (xa)b = a(xb) are checked.
+
+        The center is a subgroup (Bruck, A Survey of Binary Systems, 1958),
+        so the full check runs once per generator found, never on the
+        identity: a passing x brings in the closure of the central elements
+        so far, and a failing x refuses x * c for every central c found so
+        far (c and x * c central would make x central).  Each pass strictly
+        grows the verified subgroup, so a cyclic center of order k passes
+        at most as many checks as k has prime factors, with multiplicity;
+        every other check fails on an element that commutes with everything.
         """
         return list(self._center)
 
     @cached_property
     def _center(self) -> list[int]:
         arr = self.table
-        out = []
+        central = np.zeros(self.size, dtype=bool)
+        central[self.identity] = True
+        refused = np.zeros(self.size, dtype=bool)
         for x in np.flatnonzero(self._commutant_counts == self.size):
-            fx = arr[x]
-            xa_b = arr[fx]
-            if np.array_equal(xa_b, fx[arr]) and np.array_equal(xa_b, arr[:, fx]):
-                out.append(int(x))
-        return out
+            if central[x] or refused[x]:
+                continue
+            if self._nuclear(x):
+                central[x] = True
+                self._close(central)
+            else:
+                refused[arr[x, central]] = True
+        return np.flatnonzero(central).tolist()
+
+    def _nuclear(self, x: int) -> bool:
+        """The left and middle nucleus laws for x, over all pairs a, b."""
+        arr = self.table
+        fx = arr[x]
+        xa_b = arr[fx]
+        if not np.array_equal(xa_b, fx[arr]):
+            return False
+        return np.array_equal(xa_b, np.take(arr, fx, axis=1))
 
     def closure(self, seed) -> set[int]:
         """Smallest subset containing the identity and seed, closed under mul."""
         inside = np.zeros(self.size, dtype=bool)
-        inside[np.fromiter(seed, dtype=np.int64)] = True
+        inside[self._checked(seed)] = True
         inside[self.identity] = True
+        self._close(inside)
+        return set(np.flatnonzero(inside).tolist())
+
+    def _close(self, inside: np.ndarray) -> None:
+        """Grow the boolean mask inside, in place, until it is closed under mul."""
         current = np.flatnonzero(inside)
         while True:
             inside[self.table[np.ix_(current, current)]] = True
             grown = np.flatnonzero(inside)
             if grown.size == current.size:
-                return set(grown.tolist())
+                return
             current = grown
 
     def element_orders(self) -> list[int]:
@@ -181,7 +220,7 @@ class AbstractLoop:
 
     def subloop(self, indices) -> "AbstractLoop":
         """Induced loop on a closed subset, elements renumbered in sorted order."""
-        idx = sorted(set(int(i) for i in indices))
+        idx = np.unique(self._checked(indices)).tolist()
         lut = np.full(self.size, -1, dtype=np.int64)
         lut[idx] = np.arange(len(idx))
         sub = lut[self.table[np.ix_(idx, idx)]]
@@ -280,6 +319,13 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
     Element i = s * 2**(m*n) + c is the coset representative with scalar
     exponent s and combined mask c (factor 1 in the low n bits), so the
     identity always lands at index 0.
+
+    With C = 2**(m*n) cosets of Z and t the coset twist matrix, cell
+    (s1*C + c1, s2*C + c2) is ((s1 + s2 + t[c1, c2]) % |Z|)*C + (c1 ^ c2).
+    Scalars are central, so it depends on s1 and s2 only through
+    d = (s1 + s2) % |Z|: the table holds |Z| distinct C x C blocks, one per
+    d, and each band of C rows is those blocks rotated by s1, gathered
+    straight into place.
     """
     A = as_product(obj)
     size = A.order
@@ -287,12 +333,16 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
     k = A.z.order
     cosets = A.coset_count
     twists = coset_twist_matrix(A)
-    index = np.arange(size)
-    s = index // cosets
-    c = index % cosets
-    scalar_grid = (s[:, None] + s[None, :] + twists[c[:, None], c[None, :]]) % k
-    mask_grid = c[:, None] ^ c[None, :]
-    table = scalar_grid * cosets + mask_grid
+    c = np.arange(cosets)
+    s = np.arange(k)
+    # blocks[c1, d, c2] is cell (c1, c2) of block d
+    blocks = (twists[:, None, :] + s[None, :, None]) % k * cosets
+    blocks += (c[:, None] ^ c[None, :])[:, None, :]
+    table = np.empty((k, cosets, k, cosets), dtype=np.int64)
+    for s1 in range(k):
+        # column band s2 of row band s1 is block (s1 + s2) % k
+        np.take(blocks, s1 + s, axis=1, out=table[s1], mode="wrap")
+    table = table.reshape(size, size)
     table.flags.writeable = False
     return AbstractLoop(table, validate=False)
 

@@ -17,6 +17,7 @@ from cdloops import (
     to_table,
     verify_isomorphism,
 )
+from cdloops.central_product import coset_twist_matrix
 from cdloops.errors import BudgetExceeded
 from cdloops.verify import _dihedral_table
 
@@ -104,6 +105,81 @@ def test_center_matches_the_three_law_oracle():
         assert loop.center() == three_law_center(loop)
 
 
+def direct_product(left, right) -> AbstractLoop:
+    """Test helper: the direct product table, (a, b) at index a * |right| + b."""
+    a, b = np.asarray(left), np.asarray(right)
+    table = a[:, None, :, None] * len(b) + b[None, :, None, :]
+    size = len(a) * len(b)
+    return AbstractLoop(table.reshape(size, size))
+
+
+def relabelled_off_zero(loop: AbstractLoop, rng: random.Random) -> AbstractLoop:
+    """Test helper: a random relabelling whose identity is not at index 0."""
+    while True:
+        shuffled, _ = random_relabel(loop, rng)
+        if shuffled.identity != 0:
+            return shuffled
+
+
+def test_center_matches_the_oracle_on_wider_centers():
+    # Non-cyclic centers (Z2^3 is all center, with three generators; Q8 x Z2
+    # has center Z2 x Z2) and elements that commute with everything but are
+    # not central, in several cosets of Z (LEFT_ONLY x Z2, MIDDLE_ONLY x Z2).
+    z2 = [[0, 1], [1, 0]]
+    z2_cubed = direct_product(direct_product(z2, z2).table, z2)
+    cases = [
+        (z2_cubed, 8),
+        (direct_product(Q8.table, z2), 4),
+        (direct_product(LEFT_ONLY, z2), 2),
+        (direct_product(MIDDLE_ONLY, z2), 2),
+    ]
+    rng = random.Random(17)
+    cases += [(relabelled_off_zero(loop, rng), size) for loop, size in cases]
+    big = to_table(make_product(Z4, [CDLoop.all_minus_one(Z4, 4)] * 2))
+    cases.append((relabelled_off_zero(big, rng), 4))
+    for loop, size in cases:
+        assert loop.center() == three_law_center(loop)
+        assert len(loop.center()) == size
+
+
+def test_center_runs_one_full_check_per_generator(monkeypatch):
+    # A passing check brings in the closure of the center found so far and a
+    # failing one refuses its coset, so the identity is never checked and a
+    # cyclic Z of order k passes at most one check per prime factor of k:
+    # one for Z2, two for Z4 and Z6, three for Z8 (Z2 < Z4 < Z8).
+    checked = []
+    nuclear = AbstractLoop._nuclear
+
+    def counting(self, x):
+        checked.append(int(x))
+        return nuclear(self, x)
+
+    monkeypatch.setattr(AbstractLoop, "_nuclear", counting)
+
+    def checks(loop):
+        checked.clear()
+        loop = AbstractLoop(loop.table, validate=False)  # nothing cached
+        assert loop.center() == three_law_center(loop)
+        assert loop.identity not in checked
+        return len(checked)
+
+    rng = random.Random(23)
+    for k, most in ((2, 1), (4, 2), (6, 2), (8, 3)):
+        z = make_scalar_group(k)
+        factors = [
+            CDLoop(z, tuple(z.scalar(rng.randrange(k)) for _ in range(3))) for _ in range(2)
+        ]
+        table = to_table(make_product(z, factors))
+        # index 2**(m*n) holds the scalar generator, the first candidate
+        assert checks(table) == 1
+        for _ in range(5):
+            assert checks(relabelled_off_zero(table, rng)) <= most
+    z2 = [[0, 1], [1, 0]]
+    assert checks(direct_product(direct_product(z2, z2).table, z2)) == 3
+    # Z2 passes once; (1, 0) and (2, 0) fail and refuse (1, 1) and (2, 1).
+    assert checks(direct_product(LEFT_ONLY, z2)) == 3
+
+
 def test_element_orders_distinguish_gamma_signs():
     # all minus: six elements of order 4; one +1 gamma: only two
     assert sorted(Q8.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
@@ -130,6 +206,53 @@ def test_table_agrees_with_elementwise_products():
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             assert T.mul(i, j) == A.element_index(A.pmul(x, y))
+
+
+def coset_formula_table(A) -> np.ndarray:
+    """Test-only oracle: every cell of to_table from the coset formula."""
+    k, cosets = A.z.order, A.coset_count
+    twists = coset_twist_matrix(A)
+    index = np.arange(A.order)
+    s, c = index // cosets, index % cosets
+    scalar_grid = (s[:, None] + s[None, :] + twists[c[:, None], c[None, :]]) % k
+    return scalar_grid * cosets + (c[:, None] ^ c[None, :])
+
+
+def test_to_table_matches_the_coset_formula():
+    rng = random.Random(29)
+    shapes = [(1, 3, 8), (3, 3, 2), (1, 0, 2), (2, 1, 6), (2, 2, 4), (3, 2, 8), (1, 4, 6)]
+    shapes += [(rng.randint(1, 3), rng.randint(0, 3), rng.choice((2, 4, 6, 8))) for _ in range(8)]
+    for m, n, k in shapes:
+        z = make_scalar_group(k)
+        factors = [
+            CDLoop(z, tuple(z.scalar(rng.randrange(k)) for _ in range(n))) for _ in range(m)
+        ]
+        A = make_product(z, factors)
+        loop = to_table(A)
+        assert np.array_equal(loop.table, coset_formula_table(A)), (m, n, k)
+        assert loop.table.dtype == np.int64 and not loop.table.flags.writeable
+        assert loop.identity == 0
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda L: L.closure([-1]), -1),
+        (lambda L: L.closure([2, 8]), 8),
+        (lambda L: L.subloop([0, -4]), -4),
+        (lambda L: L.left_div(1, 9), 9),
+        (lambda L: L.left_div(-1, 0), -1),
+        (lambda L: L.right_div(9, 1), 9),
+        (lambda L: L.right_div(0, -2), -2),
+    ],
+    ids=["closure-negative", "closure-past-end", "subloop-negative", "left-div-past-end",
+         "left-div-negative", "right-div-past-end", "right-div-negative"],
+)
+def test_table_methods_refuse_indices_outside_the_table(call, bad):
+    # Negative indices used to wrap around (closure([-1]) took element 7)
+    # and indices past the end raised bare numpy IndexErrors.
+    with pytest.raises(ValueError, match=rf"^index {bad} is outside 0\.\.7$"):
+        call(Q8)
 
 
 def test_closure_examples():
