@@ -144,9 +144,9 @@ def test_center_matches_the_oracle_on_wider_centers():
 
 def test_center_runs_one_full_check_per_generator(monkeypatch):
     # A passing check brings in the closure of the center found so far and a
-    # failing one refuses its coset, so the identity is never checked and a
-    # cyclic Z of order k passes at most one check per prime factor of k:
-    # one for Z2, two for Z4 and Z6, three for Z8 (Z2 < Z4 < Z8).
+    # failing one refuses its products with it, so the identity is never
+    # checked and a cyclic Z of order k passes at most one check per prime
+    # factor of k: one for Z2, two for Z4 and Z6, three for Z8 (Z2 < Z4 < Z8).
     checked = []
     nuclear = AbstractLoop._nuclear
 
@@ -249,8 +249,8 @@ def test_to_table_matches_the_coset_formula():
          "left-div-negative", "right-div-past-end", "right-div-negative"],
 )
 def test_table_methods_refuse_indices_outside_the_table(call, bad):
-    # Negative indices used to wrap around (closure([-1]) took element 7)
-    # and indices past the end raised bare numpy IndexErrors.
+    # Unchecked, numpy wraps a negative index around (closure([-1]) would
+    # take element 7) and raises a bare IndexError past the end.
     with pytest.raises(ValueError, match=rf"^index {bad} is outside 0\.\.7$"):
         call(Q8)
 
