@@ -22,15 +22,13 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .budget import ensure_budget
+from .budget import _BLOCK_CELLS, ensure_budget
 from .cdloop import CDLoop, as_product
 from .central_product import CentralProduct, coset_twist_matrix
 from .errors import BudgetExceeded, TableFormatError
 
 MAX_ISO_SIZE = 256
 
-# Cap on the cells of one candidate block's temporaries in find_isomorphism.
-_BLOCK_CELLS = 1 << 20
 # Rows of a level's new elements checked before the rest (see find_isomorphism).
 _PROBE_ROWS = 4
 
@@ -98,6 +96,7 @@ class AbstractLoop:
     # -- basic operations --------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
+        i, j = self._checked([i, j])
         return int(self.table[i, j])
 
     def left_div(self, a: int, b: int) -> int:
@@ -180,15 +179,21 @@ class AbstractLoop:
         self._close(inside)
         return set(np.flatnonzero(inside).tolist())
 
-    def _close(self, inside: np.ndarray) -> None:
-        """Grow the boolean mask inside, in place, until it is closed under mul."""
-        current = np.flatnonzero(inside)
+    def _close(self, inside: np.ndarray) -> list:
+        """Grow the boolean mask inside, in place, until it is closed under mul.
+        Returns the waves taken, each (xs, us, vs) with xs[i] = us[i] * vs[i]:
+        xs are the distinct products outside the set, us and vs inside it."""
+        waves = []
         while True:
-            inside[self.table[np.ix_(current, current)]] = True
-            grown = np.flatnonzero(inside)
-            if grown.size == current.size:
-                return
-            current = grown
+            S = np.flatnonzero(inside)
+            products = self.table[np.ix_(S, S)].ravel()
+            fresh = np.flatnonzero(~inside[products])
+            if fresh.size == 0:
+                return waves
+            xs, first = np.unique(products[fresh], return_index=True)
+            cell = fresh[first]
+            waves.append((xs, S[cell // S.size], S[cell % S.size]))
+            inside[xs] = True
 
     def element_orders(self) -> list[int]:
         """Left-power order of each element: least k with x^(k) = identity,
@@ -255,11 +260,10 @@ class AbstractLoop:
         """A greedy generator ladder as words: how each element is reached.
 
         Each step adds the generator g whose closure with the set so far is
-        largest (ties go to the smallest index), closing the set in waves;
-        each wave is (xs, us, vs) with xs[i] = us[i] * vs[i] for us, vs
-        already in the set.  A candidate inside an earlier candidate's
-        closure at the same step is skipped: its own closure is contained in
-        that one, so it can never strictly win.
+        largest (ties go to the smallest index), with the waves _close took
+        to reach the elements it adds.  A candidate inside an earlier
+        candidate's closure at the same step is skipped: its own closure is
+        contained in that one, so it can never strictly win.
         """
         arr = self.table
         inside = np.zeros(self.size, dtype=bool)
@@ -273,23 +277,14 @@ class AbstractLoop:
                     continue
                 grown = inside.copy()
                 grown[g] = True
-                waves = []
-                while True:
-                    S = np.flatnonzero(grown)
-                    products = arr[np.ix_(S, S)].ravel()
-                    fresh = np.flatnonzero(~grown[products])
-                    if fresh.size == 0:
-                        break
-                    xs, first = np.unique(products[fresh], return_index=True)
-                    cell = fresh[first]
-                    waves.append((xs, S[cell // S.size], S[cell % S.size]))
-                    grown[xs] = True
+                waves = self._close(grown)
                 covered |= grown
-                if best is None or S.size > best[3].size:
-                    best = g, grown, waves, S
-                    if S.size == self.size:
+                if best is None or grown.sum() > best[1].sum():
+                    best = g, grown, waves
+                    if grown.all():
                         break
-            g, inside, waves, S = best
+            g, inside, waves = best
+            S = np.flatnonzero(inside)
             new = np.concatenate([[g]] + [xs for xs, _, _ in waves])
             program.append(
                 _Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)])

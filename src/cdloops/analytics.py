@@ -23,17 +23,13 @@ from math import comb
 
 import numpy as np
 
-from .budget import ensure_budget
-from .cdloop import CDLoop, as_product
+from .budget import _BLOCK_CELLS, ensure_budget
+from .cdloop import CDLoop, as_product, twist_dtype
 from .central_product import CentralProduct, ProductElement, coset_twist_matrix
 
 # Ordered triples of vectors that span a given r-dimensional space, for
 # r = 0..3: the surjections F2**3 -> F2**r.
 _SPANNING_TRIPLES = np.array([1, 7, 42, 168])
-
-# Cap on the cells of one block of temporaries in _associates and
-# associator_exponent_image.
-_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ def commutant(
     ensure_budget(A.order, max_elements, "commutant enumeration")
     A._check_member(x)
     order = A.z.order
-    exps = np.zeros(1, dtype=np.min_scalar_type(2 * (order - 1)))
+    exps = np.zeros(1, dtype=twist_dtype(order))
     for d, e in zip(A.factors, x.masks):
         row, col = d.twist_row_and_column(e)
         exps = (((row + (order - col)) % order)[:, None] + exps).ravel() % order

@@ -16,6 +16,11 @@ DEFAULT_MAX_ELEMENTS = 1 << 20
 
 ENV_VAR = "CDL_MAX_ELEMENTS"
 
+# Cap on the cells of one block of temporaries in the blocked numpy passes:
+# find_isomorphism's candidate rows, analytics' _associates and
+# associator_exponent_image.
+_BLOCK_CELLS = 1 << 20
+
 
 def resolve_max_elements(max_elements: int | None = None) -> int:
     """Explicit argument wins, then the environment variable, then the default."""

@@ -125,7 +125,7 @@ class CDLoop:
     @cached_property
     def _twist_table(self) -> np.ndarray:
         order = self.z.order
-        dtype = np.min_scalar_type(2 * (order - 1))
+        dtype = twist_dtype(order)
         table = np.zeros((1, 1), dtype=dtype)
         for g in self.gammas:
             sign, sign_gamma = _doubling_signs(len(table), g, dtype)
@@ -146,7 +146,7 @@ class CDLoop:
         gamma] when b is set.  Each step costs O(2**k).
         """
         order = self.z.order
-        dtype = np.min_scalar_type(2 * (order - 1))
+        dtype = twist_dtype(order)
         row = col = np.zeros(1, dtype=dtype)
         for k, g in enumerate(self.gammas):
             low = e & ((1 << k) - 1)
@@ -195,6 +195,8 @@ class CDLoop:
     # -- helpers -------------------------------------------------------------
 
     def _check_mask(self, e: int) -> None:
+        if not isinstance(e, (int, np.integer)):
+            raise ValueError(f"mask {e!r} is not an integer")
         if not 0 <= e < (1 << self.n):
             raise ValueError(f"mask {e:#x} does not fit in {self.n} bits")
 
@@ -210,6 +212,11 @@ def _doubling_signs(size: int, gamma: Scalar, dtype: np.dtype) -> tuple[np.ndarr
     sign = np.full(size, order // 2, dtype=dtype)
     sign[0] = 0
     return sign, (sign + dtype.type(gamma.exponent)) % order
+
+
+def twist_dtype(order: int) -> np.dtype:
+    """Twist tables' dtype: the narrowest that holds two reduced exponents' sum."""
+    return np.min_scalar_type(2 * (order - 1))
 
 
 def as_product(obj: CDLoop | CentralProduct) -> CentralProduct:

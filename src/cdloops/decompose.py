@@ -2,8 +2,9 @@
 
 Given only an N x N table and the doubling depth n, the pipeline is:
 
- 1. infer_parameters: the center recovers Z, and N/|Z| must equal 2**(m*n)
-    for some factor count m.
+ 1. infer_parameters: the center recovers Z.  Z is a normal subloop, so
+    its cosets split the loop into blocks of |Z| and |Z| divides N; the bit
+    length of N/|Z| gives the factor count m, as N/|Z| must be 2**(m*n).
  2. rank_of: an element of rank k commutes with exactly b_k(n) of the loop,
     and for n >= 3 the ratios b_0 > b_2 > ... > b_1 never collide, so the
     commutant size reveals the rank.  For n <= 2 every positive rank gives
@@ -42,18 +43,10 @@ def infer_parameters(loop: AbstractLoop, n: int) -> tuple[int, int]:
             "ranks cannot be read off the table"
         )
     z_size = len(loop.center())
-    if loop.size % z_size:
-        raise DecompositionError(
-            f"center size {z_size} does not divide the loop order {loop.size}"
-        )
+    # Z is a normal subloop, so |Z| divides |L| (Bruck, A Survey of Binary Systems, 1958).
     cosets = loop.size // z_size
-    step = 1 << n
-    m = 0
-    remaining = cosets
-    while remaining > 1 and remaining % step == 0:
-        remaining //= step
-        m += 1
-    if remaining != 1 or m == 0:
+    m, rest = divmod(cosets.bit_length() - 1, n)
+    if cosets & (cosets - 1) or rest or m == 0:
         raise DecompositionError(
             f"not a central product of depth-{n} factors: |L|/|Z| = {cosets} "
             f"is not a positive power of 2**{n}"
@@ -61,35 +54,33 @@ def infer_parameters(loop: AbstractLoop, n: int) -> tuple[int, int]:
     return m, z_size
 
 
-def _ranks(loop: AbstractLoop, n: int, m: int, elements) -> list[int]:
+def _ranks(loop: AbstractLoop, n: int, m: int, elements: np.ndarray) -> np.ndarray:
     """Ranks of the given elements, read off their commutant sizes.
 
     An element of rank k commutes with b_k * |L| elements, and for n >= 3
     those sizes never collide.
     """
-    lookup: dict[int, int] = {}
+    lookup = np.full(loop.size + 1, -1)
     for k in range(m + 1):
         count = b_k_closed(n, k) * loop.size
         assert count.denominator == 1
         lookup[int(count)] = k
-    counts = loop.commutant_sizes()
-    ranks = []
-    for x in elements:
-        rank = lookup.get(counts[x])
-        if rank is None:
-            raise DecompositionError(
-                f"element {x} commutes with {counts[x]} of {loop.size} elements, "
-                f"a ratio {Fraction(counts[x], loop.size)} matching no rank "
-                f"0..{m}: table is not a central product of Cayley-Dickson loops"
-            )
-        ranks.append(rank)
+    counts = np.array(loop.commutant_sizes())[elements]
+    ranks = lookup[counts]
+    if (ranks < 0).any():
+        i = int(np.flatnonzero(ranks < 0)[0])
+        raise DecompositionError(
+            f"element {elements[i]} commutes with {counts[i]} of {loop.size} elements, "
+            f"a ratio {Fraction(int(counts[i]), loop.size)} matching no rank "
+            f"0..{m}: table is not a central product of Cayley-Dickson loops"
+        )
     return ranks
 
 
 def rank_of(loop: AbstractLoop, x: int, n: int) -> int:
     """Rank of element x read off its commutant size."""
     m, _ = infer_parameters(loop, n)
-    return _ranks(loop, n, m, [x])[0]
+    return int(_ranks(loop, n, m, loop._checked([x]))[0])
 
 
 @dataclass
@@ -115,13 +106,13 @@ def recover_factors(loop: AbstractLoop, n: int) -> Decomposition:
     not depend on the scan order, only the order of the factors does.
     """
     m, z_size = infer_parameters(loop, n)
-    ranks = _ranks(loop, n, m, range(loop.size))
+    ranks = _ranks(loop, n, m, np.arange(loop.size))
     center = loop.center()
-    table = loop.table
     expected_size = (1 << n) * z_size
-    assigned = np.zeros(loop.size, dtype=bool)
-    assigned[center] = True
-    rank1 = np.array(ranks) == 1
+    central = np.zeros(loop.size, dtype=bool)
+    central[center] = True
+    assigned = central.copy()
+    rank1 = ranks == 1
     subsets: list[list[int]] = []
     for pivot in np.flatnonzero(rank1).tolist():
         if assigned[pivot]:
@@ -131,37 +122,37 @@ def recover_factors(loop: AbstractLoop, n: int) -> Decomposition:
                 f"element {pivot} has rank 1 but belongs to none of the {m} "
                 "recovered factors: table is not a central product"
             )
-        anti = table[pivot, :] != table[:, pivot]
-        seed = set(np.flatnonzero(anti & rank1)) | {pivot} | set(center)
-        members = loop.closure(seed)
-        if len(members) != expected_size:
+        seed = central | (rank1 & (loop.table[pivot] != loop.table[:, pivot]))
+        seed[pivot] = True
+        members = np.zeros(loop.size, dtype=bool)
+        members[list(loop.closure(np.flatnonzero(seed)))] = True
+        if members.sum() != expected_size:
             raise DecompositionError(
-                f"factor seeded at element {pivot} closes to {len(members)} "
+                f"factor seeded at element {pivot} closes to {members.sum()} "
                 f"elements, expected {expected_size}: table is not a central "
                 "product"
             )
-        overlap = [x for x in members if assigned[x] and x not in center]
-        if overlap:
+        overlap = np.flatnonzero(members & assigned & ~central)
+        if overlap.size:
             raise DecompositionError(
                 f"factors seeded at different pivots share element {overlap[0]}: "
                 "table is not a central product"
             )
-        assigned[list(members)] = True
-        subsets.append(sorted(members))
+        assigned |= members
+        subsets.append(np.flatnonzero(members).tolist())
     if len(subsets) != m:
         raise DecompositionError(
             f"recovered {len(subsets)} factors, expected {m}: table is not a "
             "central product"
         )
-    factors = [loop.subloop(subset) for subset in subsets]
     return Decomposition(
         n=n,
         m=m,
         z_size=z_size,
         center=center,
-        ranks=ranks,
+        ranks=ranks.tolist(),
         subsets=subsets,
-        factors=factors,
+        factors=[loop.subloop(subset) for subset in subsets],
     )
 
 

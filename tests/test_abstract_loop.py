@@ -244,9 +244,12 @@ def test_to_table_matches_the_coset_formula():
         (lambda L: L.left_div(-1, 0), -1),
         (lambda L: L.right_div(9, 1), 9),
         (lambda L: L.right_div(0, -2), -2),
+        (lambda L: L.mul(-1, 0), -1),
+        (lambda L: L.mul(3, 8), 8),
     ],
     ids=["closure-negative", "closure-past-end", "subloop-negative", "left-div-past-end",
-         "left-div-negative", "right-div-past-end", "right-div-negative"],
+         "left-div-negative", "right-div-past-end", "right-div-negative", "mul-negative",
+         "mul-past-end"],
 )
 def test_table_methods_refuse_indices_outside_the_table(call, bad):
     # Unchecked, numpy wraps a negative index around (closure([-1]) would
@@ -261,6 +264,32 @@ def test_closure_examples():
     i = 1  # index of l1 in enumeration order
     assert Q8.closure([i]) == {0, 1, 4, 5}
     assert Q8.closure([1, 2]) == set(range(8))
+
+
+@pytest.mark.parametrize(
+    "loop, seed",
+    [
+        (Q8, [1]),
+        (O16, [3, 12]),
+        (random_relabel(to_table(make_product(Z2, [CDLoop.all_minus_one(Z2, 3)] * 2)),
+                        random.Random(7))[0], [5, 40, 99]),
+    ],
+    ids=["quaternions", "octonions", "relabelled-product"],
+)
+def test_close_reports_each_wave_it_takes(loop, seed):
+    inside = np.zeros(loop.size, dtype=bool)
+    inside[[loop.identity] + seed] = True
+    before = inside.copy()
+    waves = loop._close(inside)
+    assert waves
+    for xs, us, vs in waves:
+        assert np.array_equal(loop.table[us, vs], xs)
+        assert np.unique(xs).size == xs.size
+        assert not before[xs].any()
+        assert before[us].all() and before[vs].all()
+        before[xs] = True
+    assert np.array_equal(before, inside)
+    assert set(np.flatnonzero(inside).tolist()) == loop.closure(seed)
 
 
 def test_subloop_extraction_and_diagnostic():

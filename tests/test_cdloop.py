@@ -1,6 +1,8 @@
 import random
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,26 @@ def test_twist_mask_range_checked():
         QUATERNIONS.twist(4, 0)
     with pytest.raises(ValueError):
         QUATERNIONS.twist(0, -1)
+
+
+@pytest.mark.parametrize(
+    "call, mask",
+    [
+        (lambda: OCTONIONS.element(Z2.one, 1.5), "1.5"),
+        (lambda: make_product(Z2, [OCTONIONS] * 2).element(Z2.one, (9.0, 0)), "9.0"),
+        (lambda: OCTONIONS.twist(1.0, 2), "1.0"),
+        (lambda: OCTONIONS.twist(1, "3"), "'3'"),
+    ],
+    ids=["element-fraction", "product-element-float", "twist-float", "twist-str"],
+)
+def test_masks_must_be_integers(call, mask):
+    with pytest.raises(ValueError, match=rf"^mask {re.escape(mask)} is not an integer$"):
+        call()
+
+
+def test_numpy_integer_masks_are_accepted():
+    assert OCTONIONS.element(Z2.one, np.int64(3)) == OCTONIONS.element(Z2.one, 3)
+    assert OCTONIONS.twist(np.uint8(1), 2) == OCTONIONS.twist(1, 2)
 
 
 def test_quaternion_relations():

@@ -46,6 +46,15 @@ def test_single_factor_matches_plain_loop():
             assert through == A.embed(1, direct)
 
 
+def test_element_operators_are_the_product_arithmetic():
+    x = A2.pmul(A2.embed(1, O.generator(1)), A2.embed(2, O.generator(3)))
+    y = A2.embed(2, O.generator(2))
+    assert x * y == A2.pmul(x, y)
+    assert y * x == A2.pmul(y, x) != x * y
+    assert x.inv() == A2.pinv(x)
+    assert x * x.inv() == x.inv() * x == A2.identity
+
+
 def test_embedding_preserves_factor_arithmetic():
     l1 = O.generator(1)
     assert A2.embed(1, O.identity) == A2.identity

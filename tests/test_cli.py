@@ -71,6 +71,19 @@ def test_degrees_associativity_both_methods(capsys):
     assert payload["agree"] is True
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--kind", "associativity", "--n", "3"],
+     ["--kind", "commutativity", "--factors", "-1,-1,-1;+1,-1,+1"]],
+    ids=["associativity", "commutativity"],
+)
+def test_degrees_closed_alone_is_the_closed_half_of_both(capsys, flags):
+    both = run_json(capsys, "degrees", *flags, "--method", "both")
+    closed = run_json(capsys, "degrees", *flags, "--method", "closed")
+    assert closed == {"kind": both["kind"], **both["closed"]}
+    assert closed["method"] == "closed"
+
+
 def test_degrees_closed_rejects_other_gammas(capsys):
     code, out, err = run_cli(
         capsys,
@@ -432,6 +445,22 @@ def test_verify_rejects_an_invalid_budget_before_any_check(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: CDL_MAX_ELEMENTS must be an integer, got 'abc'\n"
+
+
+def test_the_budget_environment_variable_is_obeyed_and_checked(capsys, monkeypatch):
+    argv = ["degrees", "--kind", "associativity", "--n", "3", "--method", "brute"]
+    monkeypatch.setenv("CDL_MAX_ELEMENTS", "512")  # 8**3 coset triples
+    assert run_json(capsys, *argv)["degree"]["num"] == 43
+    monkeypatch.setenv("CDL_MAX_ELEMENTS", "511")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "exceeding the budget of 511" in err and len(err.splitlines()) == 1
+    # an explicit flag wins over the environment
+    assert run_json(capsys, *argv, "--max-elements", "512")["degree"]["num"] == 43
+    monkeypatch.setenv("CDL_MAX_ELEMENTS", "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: CDL_MAX_ELEMENTS must be positive, got 0\n"
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from cdloops import (
     CDLoop,
+    Decomposition,
     DecompositionError,
     Scalar,
     factor_compatibility,
@@ -18,6 +21,7 @@ from cdloops import (
     recover_factors,
     to_table,
 )
+from cdloops.analytics import b_k_closed
 from cdloops.abstract_loop import AbstractLoop
 from cdloops.verify import _dihedral_table
 
@@ -52,9 +56,26 @@ def test_infer_parameters_rejects_wrong_coset_counts():
     # dihedral of order 12: 6 cosets of the center, not a power of 8
     with pytest.raises(DecompositionError, match="not a positive power"):
         infer_parameters(AbstractLoop(_dihedral_table(6)), 3)
+    # dihedral of order 20: 10 cosets have the bit length of 8
+    with pytest.raises(DecompositionError, match="= 10 is not a positive power"):
+        infer_parameters(AbstractLoop(_dihedral_table(10)), 3)
     # octonion table read at the wrong depth
     with pytest.raises(DecompositionError, match="not a positive power"):
         infer_parameters(to_table(O), 4)
+
+
+def test_infer_parameters_never_builds_a_power_of_the_depth():
+    # A huge depth is refused from the bit length of |L|/|Z| alone, without
+    # an integer of n bits.
+    table = to_table(O)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompositionError, match="not a positive power"):
+            infer_parameters(table, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rank_read_from_the_table():
@@ -67,6 +88,68 @@ def test_rank_read_from_the_table():
         A2.pmul(A2.embed(1, O.generator(1)), A2.embed(2, O.generator(2)))
     )
     assert rank_of(T2, both, 3) == 2
+
+
+@pytest.mark.parametrize("x", [-1, 128])
+def test_rank_of_refuses_indices_outside_the_table(x):
+    # Unchecked, numpy would read element 127's rank for -1.
+    with pytest.raises(ValueError, match=rf"^index {x} is outside 0\.\.127$"):
+        rank_of(T2, x, 3)
+
+
+def set_based_recover_factors(loop: AbstractLoop, n: int) -> Decomposition:
+    """Reference split on Python sets and lists, one element at a time."""
+    m, z_size = infer_parameters(loop, n)
+    lookup = {int(b_k_closed(n, k) * loop.size): k for k in range(m + 1)}
+    counts = loop.commutant_sizes()
+    for x, count in enumerate(counts):
+        if count not in lookup:
+            raise DecompositionError(
+                f"element {x} commutes with {count} of {loop.size} elements, "
+                f"a ratio {Fraction(count, loop.size)} matching no rank"
+            )
+    ranks = [lookup[count] for count in counts]
+    center = loop.center()
+    assigned = set(center)
+    subsets: list[list[int]] = []
+    for pivot in (x for x in range(loop.size) if ranks[x] == 1):
+        if pivot in assigned:
+            continue
+        if len(subsets) == m:
+            raise DecompositionError(f"element {pivot} has rank 1 but belongs to none")
+        anti = {
+            y for y in range(loop.size)
+            if ranks[y] == 1 and loop.mul(pivot, y) != loop.mul(y, pivot)
+        }
+        members = loop.closure(anti | {pivot} | set(center))
+        if len(members) != (1 << n) * z_size:
+            raise DecompositionError(f"factor seeded at element {pivot} closes to")
+        if (members & assigned) - set(center):
+            raise DecompositionError("factors seeded at different pivots share")
+        assigned |= members
+        subsets.append(sorted(members))
+    if len(subsets) != m:
+        raise DecompositionError(f"recovered {len(subsets)} factors, expected {m}")
+    factors = [loop.subloop(subset) for subset in subsets]
+    return Decomposition(n, m, z_size, center, ranks, subsets, factors)
+
+
+@pytest.mark.parametrize(
+    "z, m",
+    [(Z2, 1), (Z4, 1), (Z2, 2), (Z4, 2), (Z2, 3), (Z4, 3)],
+    ids=["Z2-m1", "Z4-m1", "Z2-m2", "Z4-m2", "Z2-m3", "Z4-m3"],
+)
+def test_recover_factors_matches_the_set_based_oracle(z, m):
+    gammas = [(z.minus_one,) * 3, (z.one, z.minus_one, z.one), (z.minus_one, z.one, z.one)]
+    A = make_product(z, [CDLoop(z, gs) for gs in gammas[:m]])
+    table = to_table(A, max_elements=A.order**2)
+    shuffled, _ = random_relabel(table, random.Random(z.order * 10 + m))
+    got = recover_factors(shuffled, 3)
+    want = set_based_recover_factors(shuffled, 3)
+    for field in ("m", "z_size", "center", "ranks", "subsets"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert type(got.ranks[0]) is int and type(got.subsets[0][0]) is int
+    assert got.factors == want.factors
 
 
 def test_recovered_subsets_are_the_embedded_factors():
