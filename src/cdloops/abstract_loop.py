@@ -29,8 +29,8 @@ from .errors import BudgetExceeded, TableFormatError
 
 MAX_ISO_SIZE = 256
 
-# Rows of a level's new elements checked before the rest (see find_isomorphism).
-_PROBE_ROWS = 4
+# Cells of a level's new x S block checked before the rest (see find_isomorphism).
+_PROBE_CELLS = 32
 
 
 class AbstractLoop:
@@ -110,13 +110,16 @@ class AbstractLoop:
         return int(np.flatnonzero(self.table[:, a] == b)[0])
 
     def _checked(self, indices) -> np.ndarray:
-        """indices as an int64 array, refused if any is outside 0..N-1
-        (numpy would wrap a negative one around or raise a bare error)."""
-        idx = np.fromiter(indices, dtype=np.int64)
-        bad = (idx < 0) | (idx >= self.size)
-        if bad.any():
-            raise ValueError(f"index {idx[bad][0]} is outside 0..{self.size - 1}")
-        return idx
+        """indices as an int64 array, refused unless each is a Python or numpy
+        integer, not a bool, in 0..N-1 (numpy would truncate a float, wrap a
+        negative index around or raise a bare error)."""
+        idx = list(indices)
+        for i in idx:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"index {i!r} is not an integer")
+            if not 0 <= i < self.size:
+                raise ValueError(f"index {i} is outside 0..{self.size - 1}")
+        return np.array(idx, dtype=np.int64)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbstractLoop):
@@ -220,8 +223,14 @@ class AbstractLoop:
 
     @cached_property
     def _commutant_counts(self) -> np.ndarray:
-        arr = self.table
-        return (arr == arr.T).sum(axis=1)
+        # Bands of 128 rows against their transposed columns from the diagonal
+        # on: a match right of the diagonal block counts for both its rows.
+        arr, counts = self.table, np.zeros(self.size, dtype=np.int64)
+        for lo in range(0, self.size, 128):
+            same = arr[lo : lo + 128, lo:] == arr[lo:, lo : lo + 128].T
+            counts[lo : lo + 128] += same.sum(axis=1)
+            counts[lo + 128 :] += same[:, 128:].sum(axis=0)
+        return counts
 
     def subloop(self, indices) -> "AbstractLoop":
         """Induced loop on a closed subset, elements renumbered in sorted order."""
@@ -249,11 +258,12 @@ class AbstractLoop:
 
     @cached_property
     def _signatures(self) -> list[tuple[int, int, int]]:
+        # A central c is nuclear, so ((xc)a)b = ((xa)b)c and (xc)(ab) = (x(ab))c:
+        # x and xc associate with the same pairs, counted once per coset of Z(L).
         arr = self.table
-        assoc = [
-            int((arr[arr[x]] == arr[x, arr]).sum()) for x in range(self.size)
-        ]
-        return list(zip(self.element_orders(), self.commutant_sizes(), assoc))
+        reps, coset = np.unique(arr[:, self._center].min(axis=1), return_inverse=True)
+        assoc = np.array([(arr[arr[x]] == arr[x, arr]).sum() for x in reps])
+        return list(zip(self.element_orders(), self.commutant_sizes(), assoc[coset].tolist()))
 
     @cached_property
     def _word_program(self) -> list[_Step]:
@@ -286,9 +296,13 @@ class AbstractLoop:
             g, inside, waves = best
             S = np.flatnonzero(inside)
             new = np.concatenate([[g]] + [xs for xs, _, _ in waves])
-            program.append(
-                _Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)])
-            )
+            # Probe cells: steps of an odd stride near 0.618 of the new x S block,
+            # taken mod its size, so they spread over its rows and columns alike.
+            size = new.size * S.size
+            cell = np.arange(min(_PROBE_CELLS, size)) * (int(0.618 * size) | 1) % size
+            a, b = new[cell // S.size], S[cell % S.size]
+            program.append(_Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)],
+                                 (a, b, arr[a, b], arr[b, a])))
         return program
 
 
@@ -297,7 +311,7 @@ class _Step(NamedTuple):
 
     new lists g and then the elements its waves add; S is the closure after
     this level; new_by_S and S_by_new are left's products over new x S and
-    S x new.
+    S x new, and probe is (a, b, a * b, b * a) at the probe cells (a, b).
     """
 
     g: int
@@ -306,6 +320,7 @@ class _Step(NamedTuple):
     S: np.ndarray
     new_by_S: np.ndarray
     S_by_new: np.ndarray
+    probe: tuple
 
 
 def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> AbstractLoop:
@@ -565,18 +580,22 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     """Search for an isomorphism left -> right; returns the index map or None.
 
     Elements are classed by (left-power order, commutant size, count of
-    associating pairs).  The search walks left's word program one ladder
-    generator g at a time.  At each node, every right element in g's class
-    is tried as g's image at once: the level's words give the images of
-    everything g adds, and a candidate row survives only if those images
-    are in matching classes and products over new x S and S x new are
-    preserved (pairs inside the old S passed at earlier levels).  Injectivity
-    follows: a surviving row is a homomorphism on S, and if phi(a) = phi(b)
-    then the x in S with a * x = b has phi(x) = e, so x has order 1 like e
-    and is the identity.  Each test is necessary for an isomorphism, so the
-    search is exhaustive: None means none exists.  Any witness found is
-    re-verified over the full table.  Tables over MAX_ISO_SIZE elements are
-    refused with BudgetExceeded.
+    associating pairs); the count is taken once per coset of the center.
+    The search walks left's word program one ladder generator g at a time,
+    depth first.  At each node, every right element in g's class is tried
+    as g's image at once: the level's words give the images of everything g
+    adds, and a candidate row survives only if those images are in matching
+    classes and products over new x S and S x new are preserved (pairs
+    inside the old S passed at earlier levels).  A wrong image breaks
+    products all over new x S, so _PROBE_CELLS cells spread over the block
+    are checked before the rest.  The last two levels are expanded a block
+    of rows at a time, in depth-first order, so the witness is still the
+    first isomorphism along the ladder.  Injectivity follows: a surviving
+    row is a homomorphism on S, and if phi(a) = phi(b) then the x in S with
+    a * x = b has phi(x) = e, so x has order 1 like e and is the identity.
+    Each test is necessary for an isomorphism, so the search is exhaustive:
+    None means none exists.  Any witness found is re-verified over the full
+    table.  Tables over MAX_ISO_SIZE elements are refused with BudgetExceeded.
     """
     if left.size != right.size:
         return None
@@ -599,43 +618,45 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     t2 = right.table
     program = left._word_program
 
-    def survivors(step: _Step, row: np.ndarray, cands: np.ndarray):
-        C = np.repeat(row[None, :], cands.size, axis=0)
-        C[:, step.g] = cands
+    def survivors(step: _Step, C: np.ndarray) -> np.ndarray:
+        """The rows of C, maps with g's image set, that pass step's tests."""
         for xs, us, vs in step.waves:
             C[:, xs] = t2[C[:, us], C[:, vs]]
-        img = C[:, step.new]
-        ok = (cls_right[img] == cls_left[step.new]).all(axis=1)
-        C, img = C[ok], img[ok]
-        img_S = C[:, step.S]
-        # A wrong image breaks most products, so a few rows of new reject
-        # nearly every failing candidate before the full check.
-        for rows in (slice(0, _PROBE_ROWS), slice(_PROBE_ROWS, None)):
-            sub = img[:, rows]
-            left_mul = C[:, step.new_by_S[rows]] == t2[sub[:, :, None], img_S[:, None, :]]
-            right_mul = C[:, step.S_by_new[:, rows]] == t2[img_S[:, :, None], sub[:, None, :]]
-            ok = left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))
-            C, img, img_S = C[ok], img[ok], img_S[ok]
-        return C
+        C = C[(cls_right[C[:, step.new]] == cls_left[step.new]).all(axis=1)]
+        a, b, ab, ba = step.probe
+        ok = (C[:, ab] == t2[C[:, a], C[:, b]]).all(axis=1)
+        C = C[ok & (C[:, ba] == t2[C[:, b], C[:, a]]).all(axis=1)]
+        img, img_S = C[:, step.new], C[:, step.S]
+        left_mul = C[:, step.new_by_S] == t2[img[:, :, None], img_S[:, None, :]]
+        right_mul = C[:, step.S_by_new] == t2[img_S[:, :, None], img[:, None, :]]
+        return C[left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))]
 
-    def search(level: int, row: np.ndarray) -> np.ndarray | None:
+    def search(level: int, rows: np.ndarray) -> np.ndarray | None:
+        """The first full map below the partial maps rows, depth first."""
         if level == len(program):
-            return row
+            return rows[0]
         step = program[level]
         cands = np.flatnonzero(cls_right == cls_left[step.g])
-        # Candidate rows per block, so that the (rows, |new|, |S|)
-        # temporaries stay within _BLOCK_CELLS cells.
+        # (row, candidate) pairs per block, candidates varying fastest, so
+        # that the (pairs, |new|, |S|) temporaries stay within _BLOCK_CELLS.
         block = max(1, _BLOCK_CELLS // (step.new.size * step.S.size))
-        for lo in range(0, cands.size, block):
-            for nxt in survivors(step, row, cands[lo:lo + block]):
-                found = search(level + 1, nxt)
+        pairs = np.arange(len(rows) * cands.size)
+        for lo in range(0, pairs.size, block):
+            pick = pairs[lo : lo + block]
+            C = rows[pick // cands.size]
+            C[:, step.g] = cands[pick % cands.size]
+            nxt = survivors(step, C)
+            # The last two levels take a block's survivors in one pass, still
+            # in depth-first order, so the first leaf found is the same.
+            for part in [nxt] if level >= len(program) - 3 else nxt[:, None]:
+                found = search(level + 1, part) if len(part) else None
                 if found is not None:
                     return found
         return None
 
     row = np.full(n, -1, dtype=np.int64)
     row[left.identity] = right.identity
-    found = search(0, row)
+    found = search(0, row[None])
     if found is None:
         return None
     mapping = found.tolist()

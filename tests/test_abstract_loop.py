@@ -258,6 +258,33 @@ def test_table_methods_refuse_indices_outside_the_table(call, bad):
         call(Q8)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda L: L.mul(1.5, 0),
+        lambda L: L.mul(True, 0),
+        lambda L: L.closure([2.7]),
+        lambda L: L.closure([np.float64(2)]),
+        lambda L: L.closure([np.True_]),
+        lambda L: L.subloop([0, 1.0]),
+        lambda L: L.left_div(1, "2"),
+        lambda L: L.right_div(None, 1),
+    ],
+    ids=["mul-float", "mul-bool", "closure-float", "closure-numpy-float",
+         "closure-numpy-bool", "subloop-float", "left-div-string", "right-div-none"],
+)
+def test_table_methods_refuse_indices_that_are_not_integers(call):
+    # np.fromiter would truncate 2.7 to element 2 and read True as 1.
+    with pytest.raises(ValueError, match=r"^index .+ is not an integer$"):
+        call(Q8)
+
+
+def test_numpy_integer_indices_are_accepted():
+    assert Q8.mul(np.int64(1), np.uint8(2)) == Q8.mul(1, 2)
+    assert Q8.closure(np.array([1], dtype=np.int32)) == Q8.closure([1])
+    assert Q8.left_div(np.int16(3), 0) == Q8.left_div(3, 0)
+
+
 def test_closure_examples():
     assert Q8.closure([]) == {0}
     assert Q8.closure([Q8.identity]) == {0}

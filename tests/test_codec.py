@@ -141,3 +141,21 @@ def test_a_body_too_short_for_its_header_allocates_no_table():
             parse_loop_table("loop-table v1 1024\n" + "0 " * 1000 + "\n")
 
     assert traced_peak(parse) < 1 << 20
+
+
+def wide_center_table() -> AbstractLoop:
+    """The direct product of the octonion loop and Z12: 192 elements, the
+    last band of 128 rows partly filled, and a center of 24, not |Z| = 2."""
+    octonions = to_table(CDLoop.all_minus_one(Z2, 3)).table
+    twelve = cyclic(12).table
+    table = octonions[:, None, :, None] * 12 + twelve[None, :, None, :]
+    return AbstractLoop(table.reshape(192, 192))
+
+
+@pytest.mark.parametrize("size", sorted(LOOPS) + [192])
+def test_commutant_counts_equal_the_transposed_compare(size):
+    loop = wide_center_table() if size == 192 else LOOPS[size]()
+    assert size != 192 or len(loop.center()) == 24
+    for table in (loop, relabelled(loop, size)):
+        arr = table.table
+        assert table.commutant_sizes() == (arr == arr.T).sum(axis=1).tolist()

@@ -97,6 +97,13 @@ def test_rank_of_refuses_indices_outside_the_table(x):
         rank_of(T2, x, 3)
 
 
+@pytest.mark.parametrize("x", [2.7, True])
+def test_rank_of_refuses_indices_that_are_not_integers(x):
+    # Unchecked, 2.7 would read element 2's rank and True element 1's.
+    with pytest.raises(ValueError, match=rf"^index {x} is not an integer$"):
+        rank_of(T2, x, 3)
+
+
 def set_based_recover_factors(loop: AbstractLoop, n: int) -> Decomposition:
     """Reference split on Python sets and lists, one element at a time."""
     m, z_size = infer_parameters(loop, n)

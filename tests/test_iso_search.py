@@ -176,7 +176,8 @@ def test_a_non_isomorphic_relabeled_pair_is_rejected_like_the_reference():
     assert find_isomorphism(left, right) is None
 
 
-def test_one_candidate_per_block_gives_the_same_answers(monkeypatch):
+def block_test_pairs():
+    """A non-isomorphic pair with equal signatures, then two relabelings."""
     rng = random.Random(11)
     pairs = [
         (N4_Z2[(0, 0, 0, 0)], fixed_zero_relabel(N4_Z2[(1, 1, 1, 0)], rng)),
@@ -184,6 +185,11 @@ def test_one_candidate_per_block_gives_the_same_answers(monkeypatch):
     ]
     table = to_table(random_product(rng, 2, 3, 2))
     pairs.append((table, fixed_zero_relabel(table, rng)))
+    return pairs
+
+
+def test_one_candidate_per_block_gives_the_same_answers(monkeypatch):
+    pairs = block_test_pairs()
     expected = [find_isomorphism(left, right) for left, right in pairs]
     assert expected[0] is None and None not in expected[1:]
     monkeypatch.setattr(abstract_loop, "_BLOCK_CELLS", 1)
@@ -232,3 +238,72 @@ def test_ladder_equals_the_reference_greedy_ladder(dims):
     for loop in (table, fixed_zero_relabel(table, rng)):
         fresh = AbstractLoop(loop.table, validate=False)
         assert [s.g for s in fresh._word_program] == reference_ladder(loop)
+
+
+def cd_table(z_order: int, gammas) -> AbstractLoop:
+    z = make_scalar_group(z_order)
+    return to_table(CDLoop(z, tuple(z.scalar(g) for g in gammas)))
+
+
+def test_a_z4_factor_pair_with_equal_signatures_is_told_apart():
+    # The factor pair of the benchmark's two-factor match: equal signature
+    # multisets, so only the search's exhaustion tells them apart.
+    rng = random.Random(17)
+    a, b = cd_table(4, (2, 3, 3, 3)), cd_table(4, (2, 2, 0, 3))
+    assert sorted(a._signatures) == sorted(b._signatures)
+    assert find_isomorphism(a, fixed_zero_relabel(b, rng)) is None
+    assert find_isomorphism(b, fixed_zero_relabel(a, rng)) is None
+    for loop in (a, b):
+        right = fixed_zero_relabel(loop, rng)
+        witness = find_isomorphism(loop, right)
+        assert witness is not None
+        assert witness == reference_find_isomorphism(loop, right)
+
+
+@pytest.mark.parametrize("cells", [1, 10**9], ids=["one-cell", "every-cell"])
+def test_the_probe_size_never_changes_an_answer(monkeypatch, cells):
+    pairs = block_test_pairs()
+    expected = [find_isomorphism(left, right) for left, right in pairs]
+    assert expected[0] is None and None not in expected[1:]
+    monkeypatch.setattr(abstract_loop, "_PROBE_CELLS", cells)
+    for (left, right), want in zip(pairs, expected):
+        fresh = AbstractLoop(left.table, validate=False)
+        for step in fresh._word_program:
+            a, b, ab, ba = step.probe
+            probed = set(zip(a.tolist(), b.tolist()))
+            assert len(probed) == min(cells, step.new.size * step.S.size)
+            assert np.array_equal(ab, fresh.table[a, b])
+            assert np.array_equal(ba, fresh.table[b, a])
+        assert find_isomorphism(fresh, right) == want
+
+
+def reference_signatures(loop: AbstractLoop) -> list[tuple[int, int, int]]:
+    """Test-only oracle: one associator pass over all pairs per element."""
+    arr = loop.table
+    assoc = [int((arr[arr[x]] == arr[x, arr]).sum()) for x in range(loop.size)]
+    commutants = (arr == arr.T).sum(axis=1).tolist()
+    return list(zip(loop.element_orders(), commutants, assoc))
+
+
+# A non-associative loop of order 5 whose center is its identity alone.
+ORDER_5 = AbstractLoop(
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+)
+
+
+@pytest.mark.parametrize(
+    "loop, center_size",
+    [
+        (cd_table(2, (1, 0, 1, 1)), 2),
+        (cd_table(4, (2, 3, 3, 3)), 4),
+        (cd_table(8, (5, 2, 7)), 8),
+        (to_table(random_product(random.Random(23), 2, 3, 4)), 4),
+        (ORDER_5, 1),
+    ],
+    ids=["z2", "z4", "z8", "m2-product", "trivial-center"],
+)
+def test_signatures_equal_the_per_element_oracle(loop, center_size):
+    for table in (loop, fixed_zero_relabel(loop, random.Random(center_size))):
+        fresh = AbstractLoop(table.table, validate=False)
+        assert len(fresh.center()) == center_size
+        assert fresh._signatures == reference_signatures(fresh)
