@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 from functools import cached_property
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -362,8 +362,8 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
 # Bytes of text decoded per pass of parse_loop_table (blocks are cut after a
 # line break), and the rough output size of one serialize_loop_table pass.
 _CODEC_BLOCK_BYTES = 1 << 20
-# Significant digits an entry may carry for exact int64 accumulation; any
-# longer entry is out of range for every table that fits in memory.
+# Digits an entry may carry for exact int64 accumulation in the block
+# decoder; the line reader takes any longer entry, leading zeros included.
 _MAX_DIGITS = 18
 
 # ASCII byte classes as str.split and str.splitlines see them.
@@ -419,11 +419,12 @@ def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop
     The N^2 cells named by the header are charged against the enumeration
     budget before any row is parsed.  The body is decoded from ASCII bytes
     in blocks of about 1 MiB, straight into the N x N table; text the
-    decoder refuses is re-read line by line to report its first defect.
+    decoder refuses is re-read line by line, which reports its first defect
+    or, if it has none, returns the table.
     """
     loop = _decode_loop_table(text, max_elements) if text.isascii() else None
     if loop is None:
-        _raise_first_defect(text, max_elements)
+        loop = _read_lines(text, max_elements)
     if loop.identity != 0:
         perm = list(range(loop.size))
         perm[0], perm[loop.identity] = perm[loop.identity], perm[0]
@@ -477,7 +478,7 @@ def _decode_loop_table(text: str, max_elements: int | None) -> AbstractLoop | No
 def _decode_block(data: bytes, n: int) -> np.ndarray | None:
     """The entries of whole body lines in order, or None if a byte is not a
     digit or whitespace, a non-blank line does not hold n entries, or an
-    entry has more than _MAX_DIGITS significant digits."""
+    entry has more than _MAX_DIGITS digits."""
     u = np.frombuffer(data, dtype=np.uint8)
     cls = _BYTE_CLASS.take(u)
     if not cls.all():
@@ -488,36 +489,29 @@ def _decode_block(data: bytes, n: int) -> np.ndarray | None:
     per_line = np.diff(line_ends, prepend=0, append=starts.size)
     if ((per_line != 0) & (per_line != n)).any():
         return None
-    if starts.size == 0:
-        return starts
-    first = starts
-    width = int((ends - first).max())
+    width = int((ends - starts).max(initial=0))
     if width > _MAX_DIGITS:
-        # Only leading zeros may precede an entry's last _MAX_DIGITS digits.
-        long = np.flatnonzero(ends - first > _MAX_DIGITS)
-        lead = np.column_stack([first[long], ends[long] - _MAX_DIGITS]).ravel()
-        if (np.maximum.reduceat(u, lead)[::2] > ord("0")).any():
-            return None
-        first = np.maximum(first, ends - _MAX_DIGITS)
-        width = _MAX_DIGITS
+        return None
     values = np.zeros(starts.size, dtype=np.int64)
     pos = ends - 1
     for p in range(width):
         digit = u[pos].astype(np.int64)
         digit -= ord("0")
-        digit[pos < first] = 0
+        digit[pos < starts] = 0
         digit *= 10**p
         values += digit
         pos -= 1
     return values
 
 
-def _raise_first_defect(text: str, max_elements: int | None) -> NoReturn:
-    """Read text line by line and raise the error for its first defect.
+def _read_lines(text: str, max_elements: int | None) -> AbstractLoop:
+    """Read text line by line: raise the error for its first defect, or
+    return the table if it has none.
 
-    Called only on text the block decoder refused, every one of which has a
-    defect: the header, the row count, a row's entries, non-ASCII text, or
-    an entry of 19 or more significant digits, which is outside 0..N-1.
+    Called on text the block decoder refused: a defect in the header, the
+    row count, a row's entries or non-ASCII text, an entry of 19 or more
+    significant digits, which is outside 0..N-1, or a valid entry written
+    with more than _MAX_DIGITS digits, leading zeros included.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -541,8 +535,7 @@ def _raise_first_defect(text: str, max_elements: int | None) -> NoReturn:
             raise TableFormatError(f"row {i} has an entry outside 0..{n - 1}") from None
     if not text.isascii():
         raise TableFormatError("table has non-ASCII whitespace or line breaks")
-    AbstractLoop(np.vstack(rows))  # range check of the long entries
-    raise RuntimeError("internal error: the block decoder refused a well-formed table")
+    return AbstractLoop(np.vstack(rows))
 
 
 def random_relabel(

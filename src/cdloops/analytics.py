@@ -8,11 +8,13 @@ statement about cosets of Z, walks masks rather than elements, and
 multiplies counts back by powers of |Z|.  Every survey takes a loop or a
 central product (a loop is its own one-factor product) and reads the coset
 twist matrix T: cosets c1, c2 commute exactly when T[c1, c2] == T[c2, c1],
-because T's entries are already reduced.  T's narrow unsigned dtype holds
-the sum of two entries; surveys that subtract entries upcast to int64
-first.  Associativity and di-associativity verdicts depend only on the
-XOR span of the masks involved, so those surveys judge each subspace of
-A/Z = F2**(m*n) of dimension <= 3 (or 2) once.
+because T's entries are already reduced.  One arithmetic rule keeps every
+survey exact for every |Z|: T's dtype (twist_dtype, object beyond uint64)
+holds the sum of two reduced exponents, so a survey adds two reduced
+exponents and reduces again, and subtracts t by adding |Z| - t.
+Associativity and di-associativity verdicts depend only on the XOR span of
+the masks involved, so those surveys judge each subspace of A/Z =
+F2**(m*n) of dimension <= 3 (or 2) once.
 """
 
 from __future__ import annotations
@@ -117,15 +119,18 @@ def pc_limit_table(
     mode "grow_n" varies n with m = fixed; mode "grow_m" varies m with
     n = fixed.  Returns (parameter, degree) pairs for start..stop inclusive.
     Row (m, n) sums m + 1 fractions of about m*n bits, so the budget is
-    charged the sum of (m + 1) * n over all rows before the first is built.
+    charged the sum of (m + 1) * n over all rows, an arithmetic series in
+    start..stop summed in closed form before the first row is built.
     """
     if mode not in ("grow_n", "grow_m"):
         raise ValueError(f"mode must be grow_n or grow_m, got {mode!r}")
     if start < 1 or stop < start:
         raise ValueError(f"need 1 <= start <= stop, got {start}..{stop}")
     values = range(start, stop + 1)
+    total = (start + stop) * len(values) // 2
+    cells = (fixed + 1) * total if mode == "grow_n" else fixed * (total + len(values))
+    ensure_budget(cells, max_elements, "limit table")
     shapes = [(fixed, v) if mode == "grow_n" else (v, fixed) for v in values]
-    ensure_budget(sum((m + 1) * n for m, n in shapes), max_elements, "limit table")
     return [
         (v, commutativity_degree_closed(m, n).degree)
         for v, (m, n) in zip(values, shapes)
@@ -140,21 +145,23 @@ def commutant(
 ) -> list[ProductElement]:
     """All y with x*y = y*x, in enumeration order.
 
-    Whether y commutes with x depends only on y's coset.  The commutator
-    exponents of x against every coset are the Kronecker sum of per-factor
-    rows t_i(x_i, f) - t_i(f, x_i), read from twist_row_and_column (no
-    dense table) and kept in twist_table's dtype, which holds the sum of
-    two reduced exponents and t + (|Z| - t') < 2|Z|.
+    Whether y commutes with x depends only on y's coset.  By the doubling
+    law t(e, f) is the all-(+1) loop's twist plus the gamma_i over the bits
+    e and f share, a symmetric term that cancels in t(e, f) - t(f, e); in
+    the all-(+1) loop distinct non-scalar monomials anticommute.  So b(e),
+    b(f) commute unless e and f are distinct and both nonzero, whatever the
+    gammas, and y commutes with x iff an even number of factors anticommute:
+    one boolean row per factor, XORed as a Kronecker sum, factor 1 lowest.
     """
     A = as_product(A)
     ensure_budget(A.order, max_elements, "commutant enumeration")
     A._check_member(x)
-    order = A.z.order
-    exps = np.zeros(1, dtype=twist_dtype(order))
-    for d, e in zip(A.factors, x.masks):
-        row, col = d.twist_row_and_column(e)
-        exps = (((row + (order - col)) % order)[:, None] + exps).ravel() % order
-    return A._coset_elements(np.flatnonzero(exps == 0))
+    f = np.arange(1 << A.n)
+    odd = np.zeros(1, dtype=bool)
+    for e in x.masks:
+        anticommutes = (f != 0) & (f != e) & (e != 0)
+        odd = (anticommutes[:, None] ^ odd).ravel()
+    return A._coset_elements(np.flatnonzero(~odd))
 
 
 def commutant_coset_sizes(
@@ -230,8 +237,10 @@ def generates_group(
     for el in (x, y, z):
         A._check_member(el)
         span += [tuple(a ^ b for a, b in zip(s, el.masks)) for s in span]
-    table = np.array([[A._twist_sum(a, b) for b in span] for a in span])
-    return bool(_associates(table, A.z.order, np.arange(8)[None])[0])
+    order = A.z.order
+    sums = [[A._twist_sum(a, b) % order for b in span] for a in span]
+    table = np.array(sums, dtype=twist_dtype(order))
+    return bool(_associates(table, order, np.arange(8)[None])[0])
 
 
 def _subspaces(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +301,9 @@ def commutator_exponent_image(
     """
     A = as_product(A)
     ensure_budget(A.coset_count**2, max_elements, "commutator image over coset pairs")
-    twist = coset_twist_matrix(A).astype(np.int64)
-    return {int(v) for v in np.unique((twist - twist.T) % A.z.order)}
+    order = A.z.order
+    twist = coset_twist_matrix(A)
+    return {int(v) for v in np.unique((twist + (order - twist.T)) % order)}
 
 
 def associator_exponent_image(
@@ -308,17 +318,17 @@ def associator_exponent_image(
     A = as_product(A)
     size = A.coset_count
     ensure_budget(size**3, max_elements, "associator image over coset triples")
-    twist = coset_twist_matrix(A).astype(np.int64)
+    order = A.z.order
+    twist = coset_twist_matrix(A)
     combo = np.arange(size)
     xor = combo[:, None] ^ combo[None, :]
     block = max(1, _BLOCK_CELLS // size**2)
     image = set()
     for start in range(0, size, block):
         e = combo[start : start + block, None]
-        exps = twist[e ^ combo] - twist[e[:, :, None], xor]
-        exps += twist[e, combo][:, :, None] - twist
-        exps %= A.z.order
-        image.update(np.unique(exps).tolist())
+        left = (twist[e, combo][:, :, None] + twist[e ^ combo]) % order
+        right = (twist + twist[e[:, :, None], xor]) % order
+        image.update(np.unique((left + (order - right)) % order).tolist())
     return image
 
 
@@ -345,15 +355,18 @@ def moufang_identity_holds(
 
     Both sides carry the same central scalar parts, so it suffices that
     t(e,f) + t(e^f,g) + t(e^f^g,f) == t(g,f) + t(f,g^f) + t(e,g) mod |Z|
-    for all coset masks, checked one coset e at a time.
+    for all coset masks.  The reduced sides are compared one coset e at a
+    time; t(g,f) + t(f,g^f) does not involve e and is summed once.
     """
     A = as_product(A)
     ensure_budget(8 ** (A.m * A.n), max_elements, "Moufang survey over coset triples")
-    t = coset_twist_matrix(A).astype(np.int64)
+    order = A.z.order
+    t = coset_twist_matrix(A)
     f = np.arange(A.coset_count)[:, None]
     g = f.T
+    head = (t[g, f] + t[f, g ^ f]) % order
     for e in range(len(f)):
-        left = t[e, f] + t[e ^ f, g] + t[e ^ f ^ g, f]
-        if ((left - t[g, f] - t[f, g ^ f] - t[e, g]) % A.z.order).any():
+        left = ((t[e, f] + t[e ^ f, g]) % order + t[e ^ f ^ g, f]) % order
+        if (left != (head + t[e, g]) % order).any():
             return False
     return True

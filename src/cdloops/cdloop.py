@@ -7,13 +7,12 @@ pairs where bit i-1 of the mask says whether l_i participates.  The product
 of two basis monomials is the monomial of the XOR'd mask times a scalar
 "twist", so multiplication never touches symbolic trees.
 
-The twist exponents form one dense 2**n x 2**n table per loop, built by
-applying the doubling law one generator at a time to the whole table (see
-twist_table) and cached on the descriptor; the surveys read it.  Single
-products unroll the same law over the mask bits instead (twist_exp), and
-commutant applies it to one row and one column (twist_row_and_column), so
-they cost O(n) and O(2**n) at every depth up to MAX_GENERATORS and build
-no table.
+The doubling law has two forms here.  The twist exponents form one dense
+2**n x 2**n table per loop, built by applying the law one generator at a
+time to the whole table (twist_table) and cached on the descriptor; the
+surveys read it.  Single products unroll the same law over the mask bits
+instead (twist_exp), so they cost O(n) at every depth up to
+MAX_GENERATORS and build no table.
 
 A loop is the one-factor central product of itself: its elements are
 ProductElements of L.product, and L.mul, L.inv, L.commutator,
@@ -128,37 +127,15 @@ class CDLoop:
         dtype = twist_dtype(order)
         table = np.zeros((1, 1), dtype=dtype)
         for g in self.gammas:
-            sign, sign_gamma = _doubling_signs(len(table), g, dtype)
+            sign = np.full(len(table), order // 2, dtype=dtype)
+            sign[0] = 0
+            sign_gamma = (sign + dtype.type(g.exponent)) % order
             flip = table.T
             table = np.block(
                 [[table, flip], [(table + sign) % order, (flip + sign_gamma) % order]]
             )
         table.flags.writeable = False
         return table
-
-    def twist_row_and_column(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row e and column e of twist_table, without building the table.
-
-        The doubling law of twist_table, restricted to one row and one
-        column: with e = b * 2**k + low, row e of the doubled table is [row
-        low, column low], plus [S, S + gamma] when b is set, and column e is
-        [column low, column low + S[low]], or [row low, row low + S[low] +
-        gamma] when b is set.  Each step costs O(2**k).
-        """
-        order = self.z.order
-        dtype = twist_dtype(order)
-        row = col = np.zeros(1, dtype=dtype)
-        for k, g in enumerate(self.gammas):
-            low = e & ((1 << k) - 1)
-            sign, sign_gamma = _doubling_signs(row.size, g, dtype)
-            if e >> k & 1:
-                row, col = (
-                    np.concatenate([(row + sign) % order, (col + sign_gamma) % order]),
-                    np.concatenate([row, (row + sign_gamma[low]) % order]),
-                )
-            else:
-                row, col = np.concatenate([row, col]), np.concatenate([col, (col + sign[low]) % order])
-        return row, col
 
     def twist(self, e: int, f: int) -> Scalar:
         self._check_mask(e)
@@ -203,15 +180,6 @@ class CDLoop:
     def describe(self) -> str:
         gammas = ",".join(self.z.format(g) for g in self.gammas)
         return f"({gammas})_Z{self.z.order}"
-
-
-def _doubling_signs(size: int, gamma: Scalar, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """S and S + gamma of one doubling step, reduced mod |Z|: S is |Z|/2
-    (conj's sign) at every index but 0."""
-    order = gamma.group.order
-    sign = np.full(size, order // 2, dtype=dtype)
-    sign[0] = 0
-    return sign, (sign + dtype.type(gamma.exponent)) % order
 
 
 def twist_dtype(order: int) -> np.dtype:

@@ -135,6 +135,7 @@ class CentralProduct:
     def scale(self, s: Scalar, x: "ProductElement") -> "ProductElement":
         if s.group != self.z:
             raise ValueError("scalar belongs to a different group")
+        self._check_member(x)
         return ProductElement(self, s * x.scalar, x.masks)
 
     # -- enumeration ----------------------------------------------------------
@@ -266,7 +267,7 @@ def coset_twist_matrix(A: CentralProduct) -> np.ndarray:
     twists, so exponents add.  Factor 1 sits in the low n bits, so each
     further factor becomes the outer block index of a Kronecker sum.  The
     sum is reduced after every factor, so entries keep the factor tables'
-    narrow unsigned dtype: upcast before subtracting entries.
+    dtype (twist_dtype), which holds the sum of two of them.
     """
     order = A.z.order
     tables = A.twist_tables()

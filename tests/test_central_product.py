@@ -153,6 +153,15 @@ def test_element_validation():
         A2.pmul(A2.identity, other.identity)
 
 
+def test_scale_refuses_an_element_of_another_product():
+    # Same shape and scalar group, other gammas: pmul, embed and
+    # element_index refuse such an element, and so does scale.
+    B = make_product(Z2, [CDLoop(Z2, (Z2.one,) * 3), O])
+    with pytest.raises(ValueError, match="^element belongs to a different product$"):
+        A2.scale(Z2.minus_one, B.element(Z2.one, (3, 0)))
+    assert A2.scale(Z2.minus_one, A2.element(Z2.one, (3, 0))).scalar == Z2.minus_one
+
+
 def test_coset_twist_matrix_matches_pmul():
     A = make_product(Z2, [CDLoop.all_minus_one(Z2, 2), CDLoop(Z2, (Z2.one, Z2.minus_one))])
     M = coset_twist_matrix(A)

@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import cdloops
-from cdloops import cli, decompose, parse_loop_table
+from cdloops import cli, decompose, parse_loop_table, pc_limit_table
 from cdloops.cli import main
+from cdloops.errors import BudgetExceeded
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +169,41 @@ def test_limits_charges_its_rows_before_building_them(capsys):
     )
     assert code == 3
     assert err.startswith("error: limit table needs 42 items")
+
+
+@pytest.mark.parametrize("mode", ["grow_n", "grow_m"])
+def test_limits_refuses_a_huge_range_in_constant_time(capsys, mode):
+    # The charge is an arithmetic series in start..stop, summed in closed
+    # form before any row is listed, so refusing costs the same at any stop.
+    stop = 10**18
+    charge = 3 * (stop * (stop + 1) // 2) if mode == "grow_n" else 2 * (stop * (stop + 1) // 2 + stop)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"^limit table needs {charge} items"):
+            pc_limit_table(mode, 2, 1, stop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 0.5
+    assert peak < 1 << 20
+    code, out, err = run_cli(
+        capsys, "limits", "--mode", mode, "--fixed", "2", "--start", "1", "--stop", str(stop)
+    )
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: limit table needs {charge} items") and err.count("\n") == 1
+
+
+def test_limits_charge_is_the_sum_over_its_rows():
+    with pytest.raises(BudgetExceeded, match="^limit table needs 150015000 items"):
+        pc_limit_table("grow_n", 2, 1, 10**4)
+    for mode in ("grow_n", "grow_m"):
+        for fixed, start, stop in ((2, 1, 30), (3, 5, 17), (1, 4, 4)):
+            shapes = [(fixed, v) if mode == "grow_n" else (v, fixed) for v in range(start, stop + 1)]
+            charge = sum((m + 1) * n for m, n in shapes)
+            assert len(pc_limit_table(mode, fixed, start, stop, charge)) == len(shapes)
+            with pytest.raises(BudgetExceeded, match=f"^limit table needs {charge} items"):
+                pc_limit_table(mode, fixed, start, stop, charge - 1)
 
 
 def test_export_import_round_trip(capsys, tmp_path):

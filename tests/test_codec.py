@@ -107,6 +107,17 @@ def test_byte_classes_match_str_split_and_splitlines():
         assert (kind == abstract_loop._DIGIT) == (c in "0123456789")
 
 
+@pytest.mark.parametrize("width", [19, 20, 40])
+def test_entries_padded_with_leading_zeros_parse_to_the_same_loop(width):
+    # Entries longer than the block decoder's digit limit go to the line
+    # reader, which returns the table when it finds no defect.
+    loop = relabelled(LOOPS[16](), 16)
+    padded = [f"loop-table v1 {loop.size}"]
+    padded += [" ".join(f"{v:0{width}d}" for v in row) for row in loop.table.tolist()]
+    parsed = parse_loop_table("\n".join(padded) + "\n")
+    assert np.array_equal(parsed.table, parse_loop_table(serialize_loop_table(loop)).table)
+
+
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:

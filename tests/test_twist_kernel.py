@@ -69,16 +69,22 @@ def test_twist_table_bit_loop_and_twist_exp_match_the_recursion(order):
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_twist_row_and_column_are_the_tables(order):
+def test_twist_tables_follow_the_commutator_and_gamma_rules(order):
+    # t is the all-(+1) loop's twist plus the gammas over the bits e and f
+    # share, a symmetric term; so b(e), b(f) anticommute exactly when e and f
+    # are distinct and both nonzero, whatever the gammas (commutant's rule).
     rng = random.Random(order + 1)
+    z = make_scalar_group(order)
     for n in range(8):
         L = random_loop(rng, order, n)
-        table = L.twist_table()
-        for e in range(1 << n):
-            row, col = L.twist_row_and_column(e)
-            assert row.dtype == col.dtype == table.dtype
-            assert np.array_equal(row, table[e]), (L.describe(), e)
-            assert np.array_equal(col, table[:, e]), (L.describe(), e)
+        t = L.twist_table().astype(np.int64)
+        plus = CDLoop(z, (z.one,) * n).twist_table().astype(np.int64)
+        e = np.arange(1 << n)[:, None]
+        f = e.T
+        anticommute = (e != 0) & (f != 0) & (e != f)
+        assert np.array_equal((t - t.T) % order, np.where(anticommute, order // 2, 0)), L.describe()
+        shared = sum(g.exponent * ((e & f) >> i & 1) for i, g in enumerate(L.gammas))
+        assert np.array_equal(t, (plus + shared) % order), L.describe()
 
 
 @pytest.mark.parametrize("order", (2, 6, 130))
