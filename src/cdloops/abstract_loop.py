@@ -362,16 +362,19 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
 # Bytes of text decoded per pass of parse_loop_table (blocks are cut after a
 # line break), and the rough output size of one serialize_loop_table pass.
 _CODEC_BLOCK_BYTES = 1 << 20
-# Digits an entry may carry for exact int64 accumulation in the block
-# decoder; the line reader takes any longer entry, leading zeros included.
+# Digits an entry may carry in the block decoder, which sums them in the
+# narrowest exact unsigned dtype; the line reader takes any longer entry.
 _MAX_DIGITS = 18
 
-# ASCII byte classes as str.split and str.splitlines see them.
+# ASCII byte classes as str.split and str.splitlines see them, and the block
+# decoder's bytes.translate tables: byte -> class, byte -> digit value or 0.
 _OTHER, _SPACE, _BREAK, _DIGIT = range(4)
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[[ord(c) for c in "\t\x1f "]] = _SPACE
 _BYTE_CLASS[[ord(c) for c in "\n\r\x0b\x0c\x1c\x1d\x1e"]] = _BREAK
 _BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_CLASS_OF = _BYTE_CLASS.tobytes()
+_DIGIT_OF = bytes(c - ord("0") if k == _DIGIT else 0 for c, k in enumerate(_BYTE_CLASS))
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e]")
 _NON_BLANK = re.compile("[^\t\n\x0b\x0c\r\x1c-\x1f ]")
 
@@ -379,37 +382,30 @@ _NON_BLANK = re.compile("[^\t\n\x0b\x0c\r\x1c-\x1f ]")
 def serialize_loop_table(loop: AbstractLoop) -> str:
     """Render as 'loop-table v1 N' plus N rows of N space-separated indices.
 
-    The text is assembled in one byte buffer, a block of rows at a time:
-    each entry's separator offset is a cumsum of decimal widths plus one,
-    and its digits are written right-aligned, one pass per decimal place,
-    gathered from per-value digit tables.  Entries outside 0..N-1 (only a
-    table built with validate=False holds them) raise TableFormatError.
+    Each value's token, its digits and a space (a line break in the last
+    column), is a NUL-padded fixed-width record in a per-value table.  A
+    block of rows is gathered from that table and the padding is dropped by
+    one bytes.translate; the result is copied into the one output buffer.
+    Entries outside 0..N-1 (only a table built with validate=False holds
+    them) raise TableFormatError.
     """
     n, table = loop.size, loop.table
     if table.min() < 0 or table.max() >= n:
         raise TableFormatError(f"cannot write a table with entries outside 0..{n - 1}")
-    head = f"loop-table v1 {n}\n"
-    places = len(str(n - 1))
-    values = np.arange(n)
-    digits = (values // 10 ** np.arange(places)[:, None] % 10 + ord("0")).astype(np.uint8)
-    # an entry's width plus its separator
-    step = 2 + (values >= 10 ** np.arange(1, places)[:, None]).sum(axis=0)
-    buf = np.empty(len(head) + n * n * (places + 1), dtype=np.uint8)
-    buf[: len(head)] = np.frombuffer(head.encode(), dtype=np.uint8)
+    head = f"loop-table v1 {n}\n".encode()
+    digits = np.arange(n).astype(f"S{len(str(n - 1))}")
+    spaced, broken = np.char.add(digits, b" "), np.char.add(digits, b"\n")
+    buf = np.empty(len(head) + n * n * spaced.itemsize, dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     end = len(head)
-    rows = max(1, _CODEC_BLOCK_BYTES // (n * (places + 1)))
+    rows = max(1, _CODEC_BLOCK_BYTES // (n * spaced.itemsize))
     for r in range(0, n, rows):
-        block = table[r : r + rows].ravel()
-        sep = np.cumsum(step[block])
-        sep += end - 1
-        # Highest place first: an entry with fewer digits writes a stray
-        # digit to its left, over a byte whose own digit is written in a
-        # later pass or which is a separator, written last.
-        for p in range(places - 1, -1, -1):
-            buf[np.maximum(sep - 1 - p, end)] = digits[p, block]
-        buf[sep] = ord(" ")
-        buf[sep[n - 1 :: n]] = ord("\n")
-        end = int(sep[-1]) + 1
+        block = table[r : r + rows]
+        tokens = spaced.take(block)
+        tokens[:, -1] = broken.take(block[:, -1])
+        chunk = tokens.tobytes().translate(None, b"\0")
+        buf[end : end + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
+        end += len(chunk)
     return str(buf[:end], "ascii")
 
 
@@ -418,9 +414,10 @@ def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop
 
     The N^2 cells named by the header are charged against the enumeration
     budget before any row is parsed.  The body is decoded from ASCII bytes
-    in blocks of about 1 MiB, straight into the N x N table; text the
-    decoder refuses is re-read line by line, which reports its first defect
-    or, if it has none, returns the table.
+    in blocks of about 1 MiB, through byte-translate tables and one gather
+    per decimal place, straight into the N x N table; text the decoder
+    refuses is re-read line by line, which reports its first defect or, if
+    it has none, returns the table.
     """
     loop = _decode_loop_table(text, max_elements) if text.isascii() else None
     if loop is None:
@@ -478,9 +475,10 @@ def _decode_loop_table(text: str, max_elements: int | None) -> AbstractLoop | No
 def _decode_block(data: bytes, n: int) -> np.ndarray | None:
     """The entries of whole body lines in order, or None if a byte is not a
     digit or whitespace, a non-blank line does not hold n entries, or an
-    entry has more than _MAX_DIGITS digits."""
-    u = np.frombuffer(data, dtype=np.uint8)
-    cls = _BYTE_CLASS.take(u)
+    entry has more than _MAX_DIGITS digits.  The digit values get a zero
+    byte in front; place p of an entry is read p bytes before its last digit
+    but not before its separator (or that byte), which reads as 0."""
+    cls = np.frombuffer(data.translate(_CLASS_OF), dtype=np.uint8)
     if not cls.all():
         return None
     bounds = np.flatnonzero(np.diff(cls >= _DIGIT, prepend=False, append=False))
@@ -492,15 +490,14 @@ def _decode_block(data: bytes, n: int) -> np.ndarray | None:
     width = int((ends - starts).max(initial=0))
     if width > _MAX_DIGITS:
         return None
-    values = np.zeros(starts.size, dtype=np.int64)
-    pos = ends - 1
-    for p in range(width):
-        digit = u[pos].astype(np.int64)
-        digit -= ord("0")
-        digit[pos < starts] = 0
-        digit *= 10**p
-        values += digit
+    digit = np.frombuffer(b"\0" + data.translate(_DIGIT_OF), dtype=np.uint8)
+    dtype = np.min_scalar_type(10**width - 1)
+    values = digit[ends].astype(dtype)
+    pos = ends.copy()
+    for p in range(1, width):
         pos -= 1
+        np.maximum(pos, starts, out=pos)
+        values += np.multiply(digit[pos], dtype.type(10**p), dtype=dtype)
     return values
 
 
@@ -608,20 +605,20 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     classes = {sig: k for k, sig in enumerate(sorted(set(sig_left)))}
     cls_left = np.array([classes[sig] for sig in sig_left])
     cls_right = np.array([classes[sig] for sig in sig_right])
-    t2 = right.table
+    t2 = right.table.ravel()  # gathered flat at x * n + y
     program = left._word_program
 
     def survivors(step: _Step, C: np.ndarray) -> np.ndarray:
         """The rows of C, maps with g's image set, that pass step's tests."""
         for xs, us, vs in step.waves:
-            C[:, xs] = t2[C[:, us], C[:, vs]]
+            C[:, xs] = t2[C[:, us] * n + C[:, vs]]
         C = C[(cls_right[C[:, step.new]] == cls_left[step.new]).all(axis=1)]
         a, b, ab, ba = step.probe
-        ok = (C[:, ab] == t2[C[:, a], C[:, b]]).all(axis=1)
-        C = C[ok & (C[:, ba] == t2[C[:, b], C[:, a]]).all(axis=1)]
+        ok = (C[:, ab] == t2[C[:, a] * n + C[:, b]]).all(axis=1)
+        C = C[ok & (C[:, ba] == t2[C[:, b] * n + C[:, a]]).all(axis=1)]
         img, img_S = C[:, step.new], C[:, step.S]
-        left_mul = C[:, step.new_by_S] == t2[img[:, :, None], img_S[:, None, :]]
-        right_mul = C[:, step.S_by_new] == t2[img_S[:, :, None], img[:, None, :]]
+        left_mul = C[:, step.new_by_S] == t2[img[:, :, None] * n + img_S[:, None, :]]
+        right_mul = C[:, step.S_by_new] == t2[img_S[:, :, None] * n + img[:, None, :]]
         return C[left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))]
 
     def search(level: int, rows: np.ndarray) -> np.ndarray | None:
