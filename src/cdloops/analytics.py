@@ -7,14 +7,14 @@ cancel in every commutator, associator and Moufang word: each survey is a
 statement about cosets of Z, walks masks rather than elements, and
 multiplies counts back by powers of |Z|.  Every survey takes a loop or a
 central product (a loop is its own one-factor product) and reads the coset
-twist matrix T: cosets c1, c2 commute exactly when T[c1, c2] == T[c2, c1],
-because T's entries are already reduced.  One arithmetic rule keeps every
-survey exact for every |Z|: T's dtype (twist_dtype, object beyond uint64)
-holds the sum of two reduced exponents, so a survey adds two reduced
-exponents and reduces again, and subtracts t by adding |Z| - t.
-Associativity and di-associativity verdicts depend only on the XOR span of
-the masks involved, so those surveys judge each subspace of A/Z =
-F2**(m*n) of dimension <= 3 (or 2) once.
+twist matrix T, or for commutators C = T - T.T mod |Z|, the Kronecker sum
+of the factors' commutator tables: c1, c2 commute exactly when C[c1, c2] is
+0.  One arithmetic rule keeps every survey exact for every |Z|: T's dtype
+(twist_dtype, object beyond uint64) holds the sum of two reduced exponents,
+so a survey adds two reduced exponents and reduces again, and subtracts t
+by adding |Z| - t.  Associativity and di-associativity verdicts depend
+only on the XOR span of the masks involved, so those surveys judge each
+subspace of A/Z = F2**(m*n) of dimension <= 3 (or 2) once.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from .budget import _BLOCK_CELLS, ensure_budget
 from .cdloop import CDLoop, as_product, twist_dtype
 from .central_product import CentralProduct, ProductElement, coset_twist_matrix
+from .central_product import _coset_commutator_matrix
 
 # Ordered triples of vectors that span a given r-dimensional space, for
 # r = 0..3: the surjections F2**3 -> F2**r.
@@ -170,8 +171,8 @@ def commutant_coset_sizes(
     """|C_A(x)/Z| for one representative per coset, indexed by combined mask."""
     A = as_product(A)
     ensure_budget(A.coset_count**2, max_elements, "commutant survey over coset pairs")
-    twist = coset_twist_matrix(A)
-    return [int(c) for c in (twist == twist.T).sum(axis=1)]
+    commutators = _coset_commutator_matrix(A)
+    return [int(c) for c in A.coset_count - np.count_nonzero(commutators, axis=1)]
 
 
 def commutativity_degree_brute(
@@ -181,8 +182,8 @@ def commutativity_degree_brute(
     A = as_product(A)
     pairs = A.coset_count**2
     ensure_budget(pairs, max_elements, "commutativity survey over coset pairs")
-    twist = coset_twist_matrix(A)
-    favorable = int((twist == twist.T).sum()) * A.z.order**2
+    zeros = pairs - int(np.count_nonzero(_coset_commutator_matrix(A)))
+    favorable = zeros * A.z.order**2
     total = A.order**2
     return DegreeReport(
         Fraction(favorable, total), favorable, total, "brute", A.m, A.n, A.z.order
@@ -301,9 +302,7 @@ def commutator_exponent_image(
     """
     A = as_product(A)
     ensure_budget(A.coset_count**2, max_elements, "commutator image over coset pairs")
-    order = A.z.order
-    twist = coset_twist_matrix(A)
-    return {int(v) for v in np.unique((twist + (order - twist.T)) % order)}
+    return {int(v) for v in np.unique(_coset_commutator_matrix(A))}
 
 
 def associator_exponent_image(

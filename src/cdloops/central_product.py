@@ -5,9 +5,9 @@ direct product, pairs that differ only by a balanced scalar rearrangement
 are identified.  Working in that quotient, every element has a canonical
 form (global scalar, mask per factor): factor scalars all fold into one.
 Factors multiply independently, so the product of two canonical forms
-multiplies the global scalars by every per-factor twist.  Over cosets of Z
-those twists add up to the Kronecker sum of the factors' dense twist
-tables, which coset_twist_matrix builds in one broadcast per factor.
+multiplies the global scalars by every per-factor twist.  Over cosets of Z,
+twists and commutator exponents add up to Kronecker sums of per-factor
+tables: coset_twist_matrix, and the matrix the commutator surveys read.
 
 A single Cayley-Dickson loop is the one-factor case (CDLoop.product), so
 ProductElement is the library's only element type and pmul, pinv,
@@ -264,14 +264,30 @@ def coset_twist_matrix(A: CentralProduct) -> np.ndarray:
 
     Extends the per-factor twists to cosets of Z: the scalar picked up when
     multiplying representatives of two cosets is the product of the factor
-    twists, so exponents add.  Factor 1 sits in the low n bits, so each
-    further factor becomes the outer block index of a Kronecker sum.  The
-    sum is reduced after every factor, so entries keep the factor tables'
-    dtype (twist_dtype), which holds the sum of two of them.
+    twists, so exponents add.  Entries keep the factor tables' dtype
+    (twist_dtype), which holds the sum of two of them.
     """
-    order = A.z.order
-    tables = A.twist_tables()
-    total = tables[0].copy()
+    return _kronecker_sum([t.copy() for t in A.twist_tables()], A.z.order)
+
+
+def _coset_commutator_matrix(A: CentralProduct) -> np.ndarray:
+    """Commutator exponents t(c1, c2) - t(c2, c1) mod |Z| over coset pairs: the
+    Kronecker sum of factor tables (t_i + (|Z| - t_i.T)) mod |Z|, new arrays in
+    twist_dtype, which holds 2|Z| - 1, so they reduce by subtracting |Z|."""
+    order, tables = A.z.order, []
+    for t in A.twist_tables():
+        c = np.subtract(order, t.T, order="C")
+        c += t
+        wrap = np.greater_equal(c, order, out=np.empty_like(c))
+        c -= np.multiply(wrap, order, out=wrap)
+        tables.append(c)
+    return _kronecker_sum(tables, order)
+
+
+def _kronecker_sum(tables: list[np.ndarray], order: int) -> np.ndarray:
+    """sum_i tables[i][e_i, f_i] mod |Z| over combined masks, factor 1 in the low
+    n bits, reduced after every factor; one table is returned as it is."""
+    total = tables[0]
     for table in tables[1:]:
         outer, inner = len(table), len(total)
         grid = table[:, None, :, None] + total[None, :, None, :]

@@ -456,6 +456,39 @@ def test_generates_group_rejects_an_element_of_another_product():
         generates_group(L, l1, l2, x)
 
 
+# -- associator and Moufang exponents do not depend on the gammas -------------------
+
+
+def associator_and_moufang_exponents(L: CDLoop) -> tuple[np.ndarray, np.ndarray]:
+    """((x*y)*z) / (x*(y*z)) and ((x*y)*z)*y / (x*(y*(z*y))) exponents over
+    all coset triples (e, f, g), read off the loop's twist table."""
+    t = L.twist_table().astype(np.int64)
+    e, f, g = np.ix_(*[np.arange(1 << L.n)] * 3)
+    associator = t[e, f] + t[e ^ f, g] - t[f, g] - t[e, f ^ g]
+    moufang = t[e, f] + t[e ^ f, g] + t[e ^ f ^ g, f] - t[g, f] - t[f, g ^ f] - t[e, g]
+    return associator % L.z.order, moufang % L.z.order
+
+
+@pytest.mark.parametrize("order", (2, 6, 10))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_associator_and_moufang_exponents_do_not_depend_on_the_gammas(order, n):
+    # per shared bit, gamma_i * e_i * f_i cancels in both differences, so a
+    # per-factor associator census is the same for every gamma vector of depth n
+    z = make_scalar_group(order)
+    plus = CDLoop(z, (z.one,) * n)
+    associator, moufang = associator_and_moufang_exponents(plus)
+    assert associator.any() and moufang.any() == (n > 3)
+    rng = random.Random(f"gammas:{order}:{n}")
+    for _ in range(3):
+        gammas = [rng.randrange(1, order)] + [rng.randrange(order) for _ in range(n - 1)]
+        rng.shuffle(gammas)
+        L = CDLoop(z, tuple(Scalar(z, g) for g in gammas))
+        assert not np.array_equal(L.twist_table(), plus.twist_table())
+        other_associator, other_moufang = associator_and_moufang_exponents(L)
+        assert np.array_equal(other_associator, associator)
+        assert np.array_equal(other_moufang, moufang)
+
+
 # -- blocked span verdicts --------------------------------------------------------
 
 
