@@ -26,6 +26,7 @@ from .budget import _BLOCK_CELLS, ensure_budget
 from .cdloop import CDLoop, as_product
 from .central_product import CentralProduct, coset_twist_matrix
 from .errors import BudgetExceeded, TableFormatError
+from .scalars import add_exponents
 
 MAX_ISO_SIZE = 256
 
@@ -344,9 +345,9 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
     cosets = A.coset_count
     twists = coset_twist_matrix(A)
     c = np.arange(cosets)
-    s = np.arange(k)
+    s = np.arange(k, dtype=twists.dtype)
     # blocks[c1, d, c2] is cell (c1, c2) of block d
-    blocks = (twists[:, None, :] + s[None, :, None]) % k * cosets
+    blocks = add_exponents(twists[:, None, :], s[:, None], k).astype(np.int64) * cosets
     blocks += (c[:, None] ^ c[None, :])[:, None, :]
     table = np.empty((k, cosets, k, cosets), dtype=np.int64)
     for s1 in range(k):

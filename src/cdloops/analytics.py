@@ -9,10 +9,8 @@ multiplies counts back by powers of |Z|.  Every survey takes a loop or a
 central product (a loop is its own one-factor product) and reads the coset
 twist matrix T, or for commutators C = T - T.T mod |Z|, the Kronecker sum
 of the factors' commutator tables: c1, c2 commute exactly when C[c1, c2] is
-0.  One arithmetic rule keeps every survey exact for every |Z|: T's dtype
-(twist_dtype, object beyond uint64) holds the sum of two reduced exponents,
-so a survey adds two reduced exponents and reduces again, and subtracts t
-by adding |Z| - t.  Associativity and di-associativity verdicts depend
+0.  Every exponent sum goes through add_exponents, which keeps each survey
+exact for every |Z|.  Associativity and di-associativity verdicts depend
 only on the XOR span of the masks involved, so those surveys judge each
 subspace of A/Z = F2**(m*n) of dimension <= 3 (or 2) once.
 """
@@ -26,9 +24,10 @@ from math import comb
 import numpy as np
 
 from .budget import _BLOCK_CELLS, ensure_budget
-from .cdloop import CDLoop, as_product, twist_dtype
+from .cdloop import CDLoop, as_product
 from .central_product import CentralProduct, ProductElement, coset_twist_matrix
 from .central_product import _coset_commutator_matrix
+from .scalars import add_exponents, twist_dtype
 
 # Ordered triples of vectors that span a given r-dimensional space, for
 # r = 0..3: the surjections F2**3 -> F2**r.
@@ -208,15 +207,16 @@ def _associates(t: np.ndarray, order: int, spans: np.ndarray) -> np.ndarray:
     each row of span members (see generates_group), one verdict per row.
 
     t is a twist table whose index XOR matches mask XOR; each side's
-    exponent is a sum of two entries of t, which t's dtype holds.  Rows are
-    judged in blocks whose temporaries stay within _BLOCK_CELLS cells.
+    exponent is a sum of two entries of t.  Rows are judged in blocks whose
+    temporaries stay within _BLOCK_CELLS cells.
     """
     block = max(1, _BLOCK_CELLS // spans.shape[1] ** 3)
     verdicts = []
     for start in range(0, len(spans), block):
         s = spans[start : start + block]
         e, f, g = s[:, :, None, None], s[:, None, :, None], s[:, None, None]
-        same = (t[e, f] + t[e ^ f, g]) % order == (t[f, g] + t[e, f ^ g]) % order
+        left = add_exponents(t[e, f], t[e ^ f, g], order)
+        same = left == add_exponents(t[f, g], t[e, f ^ g], order)
         verdicts.append(same.all(axis=(1, 2, 3)))
     return np.concatenate(verdicts)
 
@@ -325,9 +325,9 @@ def associator_exponent_image(
     image = set()
     for start in range(0, size, block):
         e = combo[start : start + block, None]
-        left = (twist[e, combo][:, :, None] + twist[e ^ combo]) % order
-        right = (twist + twist[e[:, :, None], xor]) % order
-        image.update(np.unique((left + (order - right)) % order).tolist())
+        left = add_exponents(twist[e, combo][:, :, None], twist[e ^ combo], order)
+        right = add_exponents(twist, twist[e[:, :, None], xor], order)
+        image.update(np.unique(add_exponents(left, order - right, order)).tolist())
     return image
 
 
@@ -363,9 +363,10 @@ def moufang_identity_holds(
     t = coset_twist_matrix(A)
     f = np.arange(A.coset_count)[:, None]
     g = f.T
-    head = (t[g, f] + t[f, g ^ f]) % order
+    head = add_exponents(t[g, f], t[f, g ^ f], order)
     for e in range(len(f)):
-        left = ((t[e, f] + t[e ^ f, g]) % order + t[e ^ f ^ g, f]) % order
-        if (left != (head + t[e, g]) % order).any():
+        left = add_exponents(t[e, f], t[e ^ f, g], order)
+        add_exponents(left, t[e ^ f ^ g, f], order, out=left)
+        if (left != add_exponents(head, t[e, g], order)).any():
             return False
     return True

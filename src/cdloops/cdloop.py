@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .central_product import CentralProduct, ProductElement
-from .scalars import Scalar, ScalarGroup
+from .scalars import Scalar, ScalarGroup, add_exponents, twist_dtype
 
 MAX_GENERATORS = 16
 
@@ -115,9 +115,8 @@ class CDLoop:
         law (q + r*l)(s + t*l) = qs + gamma*conj(t)*r + (t*q + r*conj(s))*l
         keeps one term per pair of monomials, giving [[T, T.T], [T + S,
         T.T + S + gamma]] mod |Z|, where S is |Z|/2 (conj's sign) in every
-        column but 0.  Entries are stored in the narrowest unsigned dtype
-        that holds the sum of two of them.  The table has 4**n entries;
-        callers charge the budget.
+        column but 0.  Entries are stored in twist_dtype(|Z|).  The table
+        has 4**n entries; callers charge the budget.
         """
         return self._twist_table
 
@@ -129,11 +128,10 @@ class CDLoop:
         for g in self.gammas:
             sign = np.full(len(table), order // 2, dtype=dtype)
             sign[0] = 0
-            sign_gamma = (sign + dtype.type(g.exponent)) % order
+            sign_gamma = add_exponents(sign, g.exponent, order)
             flip = table.T
-            table = np.block(
-                [[table, flip], [(table + sign) % order, (flip + sign_gamma) % order]]
-            )
+            bottom = [add_exponents(table, sign, order), add_exponents(flip, sign_gamma, order)]
+            table = np.block([[table, flip], bottom])
         table.flags.writeable = False
         return table
 
@@ -180,11 +178,6 @@ class CDLoop:
     def describe(self) -> str:
         gammas = ",".join(self.z.format(g) for g in self.gammas)
         return f"({gammas})_Z{self.z.order}"
-
-
-def twist_dtype(order: int) -> np.dtype:
-    """Twist tables' dtype: the narrowest that holds two reduced exponents' sum."""
-    return np.min_scalar_type(2 * (order - 1))
 
 
 def as_product(obj: CDLoop | CentralProduct) -> CentralProduct:

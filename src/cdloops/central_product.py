@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .budget import ensure_budget
-from .scalars import Scalar, ScalarGroup
+from .scalars import Scalar, ScalarGroup, add_exponents
 
 if TYPE_CHECKING:
     from .cdloop import CDLoop
@@ -264,33 +264,28 @@ def coset_twist_matrix(A: CentralProduct) -> np.ndarray:
 
     Extends the per-factor twists to cosets of Z: the scalar picked up when
     multiplying representatives of two cosets is the product of the factor
-    twists, so exponents add.  Entries keep the factor tables' dtype
-    (twist_dtype), which holds the sum of two of them.
+    twists, so exponents add.  Entries keep the factor tables' dtype.
     """
     return _kronecker_sum([t.copy() for t in A.twist_tables()], A.z.order)
 
 
 def _coset_commutator_matrix(A: CentralProduct) -> np.ndarray:
     """Commutator exponents t(c1, c2) - t(c2, c1) mod |Z| over coset pairs: the
-    Kronecker sum of factor tables (t_i + (|Z| - t_i.T)) mod |Z|, new arrays in
-    twist_dtype, which holds 2|Z| - 1, so they reduce by subtracting |Z|."""
-    order, tables = A.z.order, []
-    for t in A.twist_tables():
-        c = np.subtract(order, t.T, order="C")
-        c += t
-        wrap = np.greater_equal(c, order, out=np.empty_like(c))
-        c -= np.multiply(wrap, order, out=wrap)
-        tables.append(c)
+    Kronecker sum of the factor tables t_i - t_i.T mod |Z|."""
+    order = A.z.order
+    tables = [add_exponents(t, order - t.T, order) for t in A.twist_tables()]
     return _kronecker_sum(tables, order)
 
 
 def _kronecker_sum(tables: list[np.ndarray], order: int) -> np.ndarray:
     """sum_i tables[i][e_i, f_i] mod |Z| over combined masks, factor 1 in the low
-    n bits, reduced after every factor; one table is returned as it is."""
+    n bits, reduced after every factor; one table is returned as it is.  Each
+    new grid is filled one outer row at a time, so temporaries stay row-sized."""
     total = tables[0]
     for table in tables[1:]:
         outer, inner = len(table), len(total)
-        grid = table[:, None, :, None] + total[None, :, None, :]
-        np.remainder(grid, order, out=grid)
+        grid = np.empty((outer, inner, outer, inner), dtype=total.dtype)
+        for i, row in enumerate(table):
+            add_exponents(row[None, :, None], total[:, None, :], order, out=grid[i])
         total = grid.reshape(outer * inner, outer * inner)
     return total

@@ -256,7 +256,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    z_orders = tuple(int(t) for t in args.z_orders.split(",") if t.strip())
+    try:
+        z_orders = tuple(int(t) for t in args.z_orders.split(",") if t.strip())
+    except ValueError:
+        raise ValueError(f"z_orders must be integers, got {args.z_orders!r}") from None
     report = run_verify(
         max_n=args.max_n,
         max_m=args.max_m,

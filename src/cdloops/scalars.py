@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ScalarGroup:
@@ -63,6 +65,26 @@ class ScalarGroup:
         if s.exponent == self.order // 2:
             return "-1"
         return str(s.exponent)
+
+
+def twist_dtype(order: int) -> np.dtype:
+    """Exponent arrays' dtype: the narrowest unsigned one that holds 2|Z| - 2,
+    object beyond uint64.  Every unsigned maximum is odd, so it holds 2|Z| - 1,
+    the largest sum add_exponents forms, as well."""
+    return np.min_scalar_type(2 * (order - 1))
+
+
+def add_exponents(a, b, order: int, out=None) -> np.ndarray:
+    """(a + b) mod |Z| for arrays in twist_dtype(order), a reduced (0..|Z|-1)
+    and b in 0..|Z|, so a - t is add_exponents(a, order - t, order).  In an
+    unsigned dtype s = a + b <= 2|Z| - 1, and s - |Z| (NumPy keeps the Python
+    int in s's dtype) wraps above s exactly when s < |Z|, so min(s, s - |Z|)
+    is the reduced sum.  Other dtypes (object beyond uint64) take remainders.
+    """
+    s = np.add(a, b, out=out)
+    if s.dtype.kind != "u":
+        return np.remainder(s, order, out=s)
+    return np.minimum(s, s - order, out=s)
 
 
 def make_scalar_group(order: int) -> ScalarGroup:

@@ -514,6 +514,7 @@ def test_the_budget_environment_variable_is_obeyed_and_checked(capsys, monkeypat
         (["--z-orders", "2,0"], "z_orders"),
         (["--z-orders", "2,-2"], "z_orders"),
         (["--z-orders", "2,2"], "z_orders"),
+        (["--z-orders", "2,x"], "z_orders"),
     ],
 )
 def test_verify_rejects_bad_options_before_any_check(capsys, flags, param):

@@ -1,17 +1,19 @@
 """Coset surveys stay exact when |Z| is near or beyond the int64 range.
 
 The twist matrix holds reduced exponents in twist_dtype(|Z|): uint64 up to
-|Z| = 2**63, Python ints (object) beyond.  Each survey adds two reduced
-exponents and reduces again, and subtracts t by adding |Z| - t, so no sum
-leaves that dtype.  The oracles multiply elements with pmul, whose
-exponents are Python ints.
+|Z| = 2**63, Python ints (object) beyond.  Each survey sums exponents with
+add_exponents, so no sum leaves that dtype.  The oracles multiply elements
+with pmul, whose exponents are Python ints, or reduce Python ints with %.
 """
 
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from cdloops import cdloop
+from cdloops.scalars import add_exponents, twist_dtype
 from cdloops import (
     CDLoop,
     Scalar,
@@ -81,3 +83,42 @@ def test_generates_group_matches_pmul(order):
         assert verdict == span_associates(A, x, y, z), (A.describe(), x, y, z)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def check_add_exponents(order: int, a: list[int], b: list[int]) -> None:
+    """add_exponents over every pair of a (reduced) and b (0..|Z|) equals
+    (a + b) % |Z| in twist_dtype(|Z|), fresh, into out=, and in place."""
+    dtype = twist_dtype(order)
+    col = np.array(a, dtype=dtype)[:, None]
+    row = np.array(b, dtype=dtype)[None, :]
+    want = [[(x + y) % order for y in b] for x in a]
+    fresh = add_exponents(col, row, order)
+    assert fresh.dtype == dtype and fresh.tolist() == want
+    out = np.empty((len(a), len(b)), dtype=dtype)
+    assert add_exponents(col, row, order, out=out) is out
+    assert out.tolist() == want
+    left = np.repeat(col, len(b), axis=1)
+    assert add_exponents(left, row, order, out=left) is left
+    assert left.tolist() == want
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 128, 130])
+def test_add_exponents_is_exhaustively_a_reduced_sum(order):
+    check_add_exponents(order, list(range(order)), list(range(order + 1)))
+
+
+@pytest.mark.parametrize("order", [2**62 + 6, 2**63 - 2, 2**63, 2**64 + 2])
+def test_add_exponents_is_a_reduced_sum_at_huge_orders(order):
+    rng = random.Random(order)
+    a = [0, 1, order // 2, order - 2, order - 1] + [rng.randrange(order) for _ in range(40)]
+    b = [0, 1, order // 2, order - 1, order] + [rng.randrange(order + 1) for _ in range(40)]
+    check_add_exponents(order, a, b)
+
+
+def test_twist_dtype_bounds_and_home():
+    """uint8 up to |Z| = 128, uint64 up to 2**63, object beyond; cdloop
+    re-exports the one definition."""
+    assert cdloop.twist_dtype is twist_dtype
+    assert [twist_dtype(k) for k in (128, 130, 2**63, 2**63 + 2)] == [
+        np.uint8, np.uint16, np.uint64, np.dtype(object)
+    ]
