@@ -32,6 +32,8 @@ MAX_ISO_SIZE = 256
 
 # Cells of a level's new x S block checked before the rest (see find_isomorphism).
 _PROBE_CELLS = 32
+# Cells per take in relabel: take copies a narrow index array to intp first.
+_GATHER_CELLS = 1 << 16
 
 
 class AbstractLoop:
@@ -39,9 +41,12 @@ class AbstractLoop:
 
     table[i][j] is the index of the product of elements i and j.  The table
     must be a Latin square with a two-sided identity; the identity may sit
-    at any index (parse_loop_table normalizes it to 0).  self.table is a
-    read-only int64 array: one passed in as such is kept, anything else is
-    copied once, so the cached invariants always describe the table.
+    at any index (parse_loop_table normalizes it to 0).  Entries outside
+    0..N-1 are refused, validate or not, in the input's own dtype.
+    self.table is a read-only array of np.min_scalar_type(N - 1) (uint8 up
+    to 256 elements, uint16 up to 65536): one passed in as such is kept,
+    anything else is copied once, so the cached invariants always describe
+    the table.  Arithmetic on entries runs in intp, where it cannot wrap.
     """
 
     def __init__(self, table, validate: bool = True):
@@ -53,11 +58,18 @@ class AbstractLoop:
         # Casting would truncate floats and overflow on huge Python ints.
         if arr.dtype.kind not in "iu":
             raise TableFormatError(f"table entries must be integers, got {arr.dtype}")
-        if arr.dtype != np.int64 or arr.flags.writeable:
-            arr = arr.astype(np.int64)
+        n = arr.shape[0]
+        if arr.min() < 0 or arr.max() >= n:
+            bad = np.argwhere((arr < 0) | (arr >= n))[0]
+            raise TableFormatError(
+                f"entry at row {bad[0]}, column {bad[1]} is outside 0..{n - 1}"
+            )
+        dtype = np.min_scalar_type(n - 1)
+        if arr.dtype != dtype or arr.flags.writeable:
+            arr = arr.astype(dtype)
             arr.flags.writeable = False
         self.table = arr
-        self.size = int(arr.shape[0])
+        self.size = n
         if validate:
             self._validate_latin()
         self.identity = self._find_identity()
@@ -66,11 +78,6 @@ class AbstractLoop:
 
     def _validate_latin(self) -> None:
         arr, n = self.table, self.size
-        if arr.min() < 0 or arr.max() >= n:
-            bad = np.argwhere((arr < 0) | (arr >= n))[0]
-            raise TableFormatError(
-                f"entry at row {bad[0]}, column {bad[1]} is outside 0..{n - 1}"
-            )
         # Mark which values each row and each column hits.
         index = np.arange(n)
         seen = np.zeros((n, n), dtype=bool)
@@ -242,16 +249,23 @@ class AbstractLoop:
         if (sub < 0).any():
             a, b = (idx[k] for k in np.argwhere(sub < 0)[0])
             raise ValueError(f"subset is not closed: {a} * {b} = {self.mul(a, b)}")
-        sub.flags.writeable = False
         return AbstractLoop(sub, validate=False)
 
     def relabel(self, perm) -> "AbstractLoop":
-        """Transport the table along i -> perm[i]."""
+        """Transport the table along i -> perm[i]: cell (a, b) becomes
+        perm[table[q[a], q[b]]], q the inverse of perm, by gathers that stay
+        in the table dtype."""
         p = np.asarray(perm)
-        if not _is_permutation(p, self.size):
-            raise ValueError(f"relabeling must be a permutation of 0..{self.size - 1}")
-        new = np.empty_like(self.table)
-        new[p[:, None], p[None, :]] = p[self.table]
+        n = self.size
+        if not _is_permutation(p, n):
+            raise ValueError(f"relabeling must be a permutation of 0..{n - 1}")
+        q = np.empty(n, dtype=np.intp)
+        q[p] = np.arange(n)
+        new = self.table.take(q, axis=0).take(q, axis=1)
+        values = p.astype(new.dtype)
+        rows = max(1, _GATHER_CELLS // n)
+        for r in range(0, n, rows):
+            values.take(new[r : r + rows], out=new[r : r + rows])
         new.flags.writeable = False
         return AbstractLoop(new, validate=False)
 
@@ -344,12 +358,15 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
     k = A.z.order
     cosets = A.coset_count
     twists = coset_twist_matrix(A)
-    c = np.arange(cosets)
+    dtype = np.min_scalar_type(size - 1)
+    c = np.arange(cosets, dtype=dtype)
     s = np.arange(k, dtype=twists.dtype)
-    # blocks[c1, d, c2] is cell (c1, c2) of block d
-    blocks = add_exponents(twists[:, None, :], s[:, None], k).astype(np.int64) * cosets
+    # blocks[c1, d, c2] is cell (c1, c2) of block d.  The reduced exponents
+    # are cast to the table dtype before the multiply, which would wrap in
+    # a narrower twist dtype; every cell s * C + (c1 ^ c2) <= N - 1 fits.
+    blocks = add_exponents(twists[:, None, :], s[:, None], k).astype(dtype) * cosets
     blocks += (c[:, None] ^ c[None, :])[:, None, :]
-    table = np.empty((k, cosets, k, cosets), dtype=np.int64)
+    table = np.empty((k, cosets, k, cosets), dtype=dtype)
     for s1 in range(k):
         # column band s2 of row band s1 is block (s1 + s2) % k
         np.take(blocks, s1 + s, axis=1, out=table[s1], mode="wrap")
@@ -387,12 +404,9 @@ def serialize_loop_table(loop: AbstractLoop) -> str:
     column), is a NUL-padded fixed-width record in a per-value table.  A
     block of rows is gathered from that table and the padding is dropped by
     one bytes.translate; the result is copied into the one output buffer.
-    Entries outside 0..N-1 (only a table built with validate=False holds
-    them) raise TableFormatError.
+    Every entry has a token: AbstractLoop refuses entries outside 0..N-1.
     """
     n, table = loop.size, loop.table
-    if table.min() < 0 or table.max() >= n:
-        raise TableFormatError(f"cannot write a table with entries outside 0..{n - 1}")
     head = f"loop-table v1 {n}\n".encode()
     digits = np.arange(n).astype(f"S{len(str(n - 1))}")
     spaced, broken = np.char.add(digits, b" "), np.char.add(digits, b"\n")
@@ -455,16 +469,18 @@ def _decode_loop_table(text: str, max_elements: int | None) -> AbstractLoop | No
     n = _read_header(text[:head_end].splitlines()[-1], max_elements)
     start = brk.end() if brk else len(text)
     # n rows of n one-digit entries need 2n^2 - 1 bytes; refusing shorter
-    # bodies here keeps the table below 4 bytes per byte of text.
+    # bodies here keeps the table near 1 byte per byte of text (2-byte cells
+    # up to 65536 elements).
     if len(text) - start < 2 * n * n - 1:
         return None
-    out = np.empty(n * n, dtype=np.int64)
+    out = np.empty(n * n, dtype=np.min_scalar_type(n - 1))
     filled = 0
     while start < len(text):
         stop = _LINE_BREAK.search(text, start + _CODEC_BLOCK_BYTES)
         stop = stop.end() if stop else len(text)
         values = _decode_block(text[start:stop].encode("ascii"), n)
-        if values is None or filled + values.size > out.size:
+        # An entry past N - 1 would wrap in out: the line reader reports it.
+        if values is None or filled + values.size > out.size or values.max(initial=0) >= n:
             return None
         out[filled : filled + values.size] = values
         filled += values.size
@@ -645,7 +661,7 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
                     return found
         return None
 
-    row = np.full(n, -1, dtype=np.int64)
+    row = np.full(n, -1, dtype=np.int64)  # int64: C * n + C would wrap in the table dtype
     row[left.identity] = right.identity
     found = search(0, row[None])
     if found is None:

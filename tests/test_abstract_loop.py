@@ -13,6 +13,7 @@ from cdloops import (
     make_scalar_group,
     parse_loop_table,
     random_relabel,
+    recover_factors,
     serialize_loop_table,
     to_table,
     verify_isomorphism,
@@ -46,7 +47,7 @@ def test_quaternion_table_shape_and_center():
 
 def three_law_center(loop: AbstractLoop) -> list[int]:
     """Test-only oracle: the center scan that checks all three nucleus laws."""
-    arr = loop.table
+    arr = loop.table.astype(np.int64)
     out = []
     for x in np.flatnonzero((arr == arr.T).all(axis=1)):
         fx, cx = arr[x], arr[:, x]
@@ -230,7 +231,8 @@ def test_to_table_matches_the_coset_formula():
         A = make_product(z, factors)
         loop = to_table(A)
         assert np.array_equal(loop.table, coset_formula_table(A)), (m, n, k)
-        assert loop.table.dtype == np.int64 and not loop.table.flags.writeable
+        assert loop.table.dtype == np.min_scalar_type(loop.size - 1)
+        assert not loop.table.flags.writeable
         assert loop.identity == 0
 
 
@@ -567,3 +569,132 @@ def test_tables_compare_by_contents():
     assert again == Q8
     assert again != SPLIT
     assert np.array_equal(again.table, Q8.table)
+
+
+# -- tables across the index dtype boundaries -----------------------------------------
+#
+# Tables are stored in np.min_scalar_type(N - 1), where products of entries
+# would wrap.  Each oracle below is an independent formula on the table
+# widened to int64.
+
+
+def cyclic(n: int) -> AbstractLoop:
+    index = np.arange(n)
+    return AbstractLoop((index[:, None] + index[None, :]) % n)
+
+
+# N -> (|Z|, m, n) of an all -1 product, or None for the cyclic group, and
+# the loop.  256 elements is the largest uint8 table and 257 the smallest
+# uint16 one; from 257 on the flat index x * N + y passes 2^16.
+BOUNDARY_LOOPS = {
+    256: ((4, 2, 3), lambda: to_table(make_product(Z4, [CDLoop.all_minus_one(Z4, 3)] * 2))),
+    257: (None, lambda: cyclic(257)),
+    512: ((2, 2, 4), lambda: to_table(make_product(Z2, [CDLoop.all_minus_one(Z2, 4)] * 2))),
+    1024: ((4, 2, 4), lambda: to_table(make_product(Z4, [CDLoop.all_minus_one(Z4, 4)] * 2))),
+}
+
+
+def scatter_relabel(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Test-only oracle: the scatter relabel, new[p[i], p[j]] = p[t[i, j]]."""
+    new = np.empty_like(t)
+    new[p[:, None], p[None, :]] = p[t]
+    return new
+
+
+def power_orders(t: np.ndarray, e: int) -> list[int]:
+    """Test-only oracle: left-power orders by a Python loop."""
+    rows, orders = t.tolist(), []
+    for x in range(len(rows)):
+        y, k = x, 1
+        while y != e:
+            y, k = rows[x][y], k + 1
+        orders.append(k)
+    return orders
+
+
+def closure_oracle(t: np.ndarray, e: int, seed) -> list[int]:
+    """Test-only oracle: add all products of the set until none is new."""
+    inside = {e, *seed}
+    while True:
+        S = sorted(inside)
+        grown = inside | set(np.unique(t[np.ix_(S, S)]).tolist())
+        if grown == inside:
+            return S
+        inside = grown
+
+
+def subloop_oracle(t: np.ndarray, subset) -> np.ndarray:
+    idx = np.array(sorted(subset))
+    return np.searchsorted(idx, t[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("size", sorted(BOUNDARY_LOOPS))
+def test_table_invariants_match_int64_oracles_across_dtype_boundaries(size):
+    shape, build = BOUNDARY_LOOPS[size]
+    canonical = build()
+    p = np.array(random.Random(size).sample(range(size), size))
+    p = np.roll(p, 1) if p[0] == 0 else p  # the identity 0 moves off index 0
+    loop = canonical.relabel(p)
+    t = loop.table.astype(np.int64)
+    assert loop.size == size and loop.table.dtype == np.min_scalar_type(size - 1)
+    assert np.array_equal(t, scatter_relabel(canonical.table.astype(np.int64), p))
+    e = loop.identity
+    assert e == p[0] != 0
+    assert loop.center() == three_law_center(loop)
+    assert loop.commutant_sizes() == (t == t.T).sum(axis=1).tolist()
+    assert loop.element_orders() == power_orders(t, e)
+    for seed in ([int(p[1])], [int(p[2]), int(p[size // 2])], [int(p[-1])]):
+        closed = closure_oracle(t, e, seed)
+        assert sorted(loop.closure(seed)) == closed
+        sub = loop.subloop(closed)
+        assert sub.table.dtype == np.min_scalar_type(len(closed) - 1)
+        assert np.array_equal(sub.table, subloop_oracle(t, closed))
+
+    # The codec round trip: the reference writer's text, parsed back with the
+    # identity swapped to 0.
+    text = serialize_loop_table(loop)
+    rows = text.splitlines()[1:]
+    assert rows == [" ".join(map(str, row)) for row in t.tolist()]
+    swap = np.arange(size)
+    swap[[0, e]] = swap[[e, 0]]
+    parsed = parse_loop_table(text)
+    assert parsed.table.dtype == loop.table.dtype
+    assert np.array_equal(parsed.table, scatter_relabel(t, swap))
+
+    if shape is None:
+        return
+    z, m, n = shape
+    dec = recover_factors(loop, n)
+    c = np.arange(size) % (size // z)
+    fields = [(c >> (n * j)) & ((1 << n) - 1) for j in range(m)]
+    ranks = np.empty(size, dtype=np.int64)
+    ranks[p] = sum(field != 0 for field in fields)
+    embedded = [sorted(p[np.flatnonzero(c == field << (n * j))].tolist())
+                for j, field in enumerate(fields)]
+    assert (dec.m, dec.z_size) == (m, z)
+    assert dec.ranks == ranks.tolist()
+    assert sorted(dec.subsets) == sorted(embedded)
+    for subset, factor in zip(dec.subsets, dec.factors):
+        assert np.array_equal(factor.table, subloop_oracle(t, subset))
+
+
+def test_find_isomorphism_on_a_relabelled_uint8_table():
+    # At 256 elements the flat index x * 256 + y reaches 65535, past uint8.
+    left = BOUNDARY_LOOPS[256][1]()
+    right, _ = random_relabel(left, random.Random(256))
+    assert left.table.dtype == right.table.dtype == np.uint8
+    mapping = find_isomorphism(left, right)
+    assert mapping is not None
+    assert np.array_equal(scatter_relabel(left.table.astype(np.int64), np.array(mapping)),
+                          right.table)
+
+
+@pytest.mark.parametrize("size, wrap", [(256, 1 << 8), (1024, 1 << 16)])
+def test_an_entry_that_wraps_in_the_table_dtype_is_refused(size, wrap):
+    # Written as wrap + v, the entry would read as v once stored narrow.
+    lines = serialize_loop_table(BOUNDARY_LOOPS[size][1]()).splitlines()
+    row = lines[1].split()
+    row[5] = str(wrap + int(row[5]))
+    lines[1] = " ".join(row)
+    with pytest.raises(TableFormatError, match=rf"^entry at row 0, column 5 is outside 0\.\.{size - 1}$"):
+        parse_loop_table("\n".join(lines) + "\n")

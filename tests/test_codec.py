@@ -100,11 +100,12 @@ def test_serialize_is_the_same_in_any_block_size(monkeypatch, block_bytes):
 
 
 def test_serialize_refuses_entries_outside_the_table():
-    # No reader accepts a sign or an out-of-range entry, so none is written.
+    # No reader accepts a sign or an out-of-range entry, so no loop holds
+    # one for the writer to write: construction refuses it, validate or not.
     for bad in (-7, 3, 2**63 - 1, -(2**63)):
-        loop = AbstractLoop([[0, 1, 2], [1, bad, 0], [2, 0, 1]], validate=False)
-        with pytest.raises(TableFormatError, match="^cannot write a table with entries outside 0..2$"):
-            serialize_loop_table(loop)
+        for validate in (False, True):
+            with pytest.raises(TableFormatError, match="^entry at row 1, column 1 is outside 0..2$"):
+                AbstractLoop([[0, 1, 2], [1, bad, 0], [2, 0, 1]], validate=validate)
 
 
 def test_byte_classes_match_str_split_and_splitlines():
@@ -184,22 +185,24 @@ def traced_peak(call) -> int:
 
 
 def test_loops_hold_no_second_copy_of_their_table():
-    # An 8 MiB int64 table at 1024 elements: a read-only table is kept as it
-    # is, and to_table hands over the array it builds.  With a copy each the
-    # peaks were 9.1 and 32.1 MiB.
+    # A 2 MiB uint16 table at 1024 elements: a read-only table is kept as it
+    # is, and to_table hands over the array it builds in that dtype.  With a
+    # copy each the int64 peaks were 9.1 and 32.1 MiB; built in int64 and
+    # kept, to_table peaked at 10.1 MiB.
     loop = product_1024()
     assert traced_peak(lambda: AbstractLoop(loop.table)) < 2 << 20
-    assert traced_peak(product_1024) < 28 << 20
+    assert traced_peak(product_1024) < 8 << 20
 
 
 def test_codec_memory_on_a_relabelled_1024_element_table():
     # Decoding in blocks keeps parse near the table and its checked copy;
-    # the line-by-line parser peaked at 37 MiB and the join writer at 36 MiB.
+    # the line-by-line parser peaked at 37 MiB, the block decoder into an
+    # int64 table at 24.2 MiB, and the join writer at 36 MiB.
     # The writer holds its 5 MiB buffer and the returned text, plus one
     # block: 9.4 MiB, where a writer joining a list of blocks took 12.9 MiB.
     loop = relabelled(product_1024(), 1024)
     text = serialize_loop_table(loop)
-    assert traced_peak(lambda: parse_loop_table(text)) < 32 << 20
+    assert traced_peak(lambda: parse_loop_table(text)) < 20 << 20
     assert traced_peak(lambda: serialize_loop_table(loop)) < 12 << 20
 
 
