@@ -311,10 +311,10 @@ class AbstractLoop:
             g, inside, waves = best
             S = np.flatnonzero(inside)
             new = np.concatenate([[g]] + [xs for xs, _, _ in waves])
-            # Probe cells: steps of an odd stride near 0.618 of the new x S block,
-            # taken mod its size, so they spread over its rows and columns alike.
+            # Probe cells: steps of an odd integer stride near 618/1000 of the new x S
+            # block, taken mod its size, so they spread over its rows and columns alike.
             size = new.size * S.size
-            cell = np.arange(min(_PROBE_CELLS, size)) * (int(0.618 * size) | 1) % size
+            cell = np.arange(min(_PROBE_CELLS, size)) * (618 * size // 1000 | 1) % size
             a, b = new[cell // S.size], S[cell % S.size]
             program.append(_Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)],
                                  (a, b, arr[a, b], arr[b, a])))
@@ -387,14 +387,15 @@ _MAX_DIGITS = 18
 # ASCII byte classes as str.split and str.splitlines see them, and the block
 # decoder's bytes.translate tables: byte -> class, byte -> digit value or 0.
 _OTHER, _SPACE, _BREAK, _DIGIT = range(4)
+_SPACES, _BREAKS = "\t\x1f ", "\n\r\x0b\x0c\x1c\x1d\x1e"
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[[ord(c) for c in "\t\x1f "]] = _SPACE
-_BYTE_CLASS[[ord(c) for c in "\n\r\x0b\x0c\x1c\x1d\x1e"]] = _BREAK
+_BYTE_CLASS[[ord(c) for c in _SPACES]] = _SPACE
+_BYTE_CLASS[[ord(c) for c in _BREAKS]] = _BREAK
 _BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
 _CLASS_OF = _BYTE_CLASS.tobytes()
 _DIGIT_OF = bytes(c - ord("0") if k == _DIGIT else 0 for c, k in enumerate(_BYTE_CLASS))
-_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e]")
-_NON_BLANK = re.compile("[^\t\n\x0b\x0c\r\x1c-\x1f ]")
+_LINE_BREAK = re.compile(f"[{_BREAKS}]")
+_NON_BLANK = re.compile(f"[^{_SPACES}{_BREAKS}]")
 
 
 def serialize_loop_table(loop: AbstractLoop) -> str:
@@ -566,12 +567,8 @@ def random_relabel(
 
 def verify_isomorphism(left: AbstractLoop, right: AbstractLoop, mapping) -> bool:
     """Full N^2 check that mapping transports left's table onto right's."""
-    if left.size != right.size:
-        return False
     p = np.asarray(mapping)
-    if not _is_permutation(p, left.size):
-        return False
-    return bool(np.array_equal(p[left.table], right.table[p[:, None], p[None, :]]))
+    return left.size == right.size and _is_permutation(p, left.size) and left.relabel(p) == right
 
 
 def _is_permutation(p: np.ndarray, n: int) -> bool:

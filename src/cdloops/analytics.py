@@ -100,7 +100,7 @@ def two_factor_commutativity_closed(n: int) -> Fraction:
 
 
 def associativity_degree_closed(n: int, z_order: int = 2) -> DegreeReport:
-    """Exact probability that a uniform triple of the all-minus-one loop
+    """Exact probability that a uniform triple of any single loop of depth n
     generates a group: (7*4**n - 14*2**n + 8) / 8**n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -264,9 +264,10 @@ def coset_twist_matrix(A: CentralProduct) -> np.ndarray:
 
     Extends the per-factor twists to cosets of Z: the scalar picked up when
     multiplying representatives of two cosets is the product of the factor
-    twists, so exponents add.  Entries keep the factor tables' dtype.
+    twists, so exponents add.  Entries keep the factor tables' dtype.  For
+    one factor the result is that factor's cached, read-only twist table.
     """
-    return _kronecker_sum([t.copy() for t in A.twist_tables()], A.z.order)
+    return _kronecker_sum(A.twist_tables(), A.z.order)
 
 
 def _coset_commutator_matrix(A: CentralProduct) -> np.ndarray:

@@ -45,15 +45,7 @@ def _rational_json(value: Fraction) -> dict:
 
 
 def _report_json(report: DegreeReport) -> dict:
-    return {
-        "degree": _rational_json(report.degree),
-        "favorable": report.favorable,
-        "total": report.total,
-        "method": report.method,
-        "m": report.m,
-        "n": report.n,
-        "z_order": report.z_order,
-    }
+    return {**dataclasses.asdict(report), "degree": _rational_json(report.degree)}
 
 
 def _emit(payload) -> None:
@@ -87,18 +79,13 @@ def _cmd_build(args) -> int:
         f"l{i}": z.format(loop.mul(loop.generator(i), loop.generator(i)).scalar)
         for i in gens
     }
-    commutators = []
-    for i, j in itertools.islice(itertools.combinations(gens, 2), 10):
-        value = loop.commutator(loop.generator(i), loop.generator(j))
-        commutators.append(
-            {"pair": [f"l{i}", f"l{j}"], "value": z.format(value.scalar)}
-        )
-    associators = []
-    for i, j, k in itertools.islice(itertools.combinations(gens, 3), 10):
-        value = loop.associator(loop.generator(i), loop.generator(j), loop.generator(k))
-        associators.append(
-            {"triple": [f"l{i}", f"l{j}", f"l{k}"], "value": z.format(value.scalar)}
-        )
+    commutators, associators = (
+        [
+            {key: [f"l{i}" for i in idx], "value": z.format(law(*map(loop.generator, idx)).scalar)}
+            for idx in itertools.islice(itertools.combinations(gens, arity), 10)
+        ]
+        for key, law, arity in (("pair", loop.commutator, 2), ("triple", loop.associator, 3))
+    )
     _emit(
         {
             "z_order": z.order,
@@ -128,10 +115,12 @@ def _cmd_degrees(args) -> int:
         survey = commutativity_degree_brute
         closed = lambda: commutativity_degree_closed(A.m, A.n, A.z.order)
     else:
-        if args.method != "brute" and A.factors != (CDLoop.all_minus_one(A.z, A.n),):
+        # Associator exponents do not depend on the gammas (tests/test_coset_surveys.py::
+        # test_associator_and_moufang_exponents_do_not_depend_on_the_gammas).
+        if args.method != "brute" and A.m != 1:
             raise ValueError(
-                "the closed associativity formula covers only a single loop with "
-                "all gammas -1; use --method brute for other descriptors"
+                "the closed associativity formula covers only a single loop; "
+                "use --method brute for a product"
             )
         survey = associativity_degree_brute
         closed = lambda: associativity_degree_closed(A.n, A.z.order)

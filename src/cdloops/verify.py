@@ -312,7 +312,7 @@ def _checks(max_n, max_m, z_orders, trials, rng, me):
     # Products are equal by value, so each grid product is surveyed once
     # however many checks read it; a budget skip is not cached.
     coset_sizes = functools.cache(lambda A: commutant_coset_sizes(A, me))
-    for m in range(1, max_m + 1):
+    for m in range(1, min(max_m, 3) + 1):  # n >= 3 and m * n <= 9 leave m <= 3
         for n in range(3, max_n + 1):
             if m * n > 9:
                 continue

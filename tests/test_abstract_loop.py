@@ -503,6 +503,20 @@ def test_verify_isomorphism_accepts_and_rejects():
     assert not verify_isomorphism(Q8, SPLIT, list(range(8)))
 
 
+def test_verify_isomorphism_on_a_relabelled_uint16_table():
+    left = to_table(make_product(Z2, [CDLoop.all_minus_one(Z2, 4)] * 2))
+    assert (left.size, left.table.dtype) == (512, np.uint16)
+    right, perm = random_relabel(left, random.Random(512))
+    assert verify_isomorphism(left, right, perm)
+    assert verify_isomorphism(left, right, np.array(perm, dtype=np.uint16))
+    # The images of 1 and 2 swapped (the identity is 0): still a permutation,
+    # not an isomorphism.
+    assert left.identity == 0
+    wrong = list(perm)
+    wrong[1], wrong[2] = wrong[2], wrong[1]
+    assert not verify_isomorphism(left, right, wrong)
+
+
 @pytest.mark.parametrize(
     "loop, mapping",
     [

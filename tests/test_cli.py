@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -87,15 +88,42 @@ def test_degrees_closed_alone_is_the_closed_half_of_both(capsys, flags):
     assert closed["method"] == "closed"
 
 
-def test_degrees_closed_rejects_other_gammas(capsys):
+def test_degrees_closed_associativity_rejects_a_product(capsys):
     code, out, err = run_cli(
         capsys,
-        "degrees", "--kind", "associativity", "--n", "3",
-        "--method", "closed", "--gammas", "+1,-1,-1",
+        "degrees", "--kind", "associativity",
+        "--method", "closed", "--factors", "+1,-1,-1;-1,-1,-1",
     )
-    assert code == 2
+    assert (code, out) == (2, "")
     assert err.startswith("error:")
     assert "brute" in err
+
+
+@pytest.mark.parametrize("order", (2, 4, 6))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_degrees_closed_associativity_covers_every_single_loop(capsys, order, n):
+    # Associator exponents do not depend on the gammas, so neither does the
+    # degree: the closed form holds for any gamma vector.
+    rng = random.Random(100 * order + n)
+    gammas = ",".join(str(rng.randrange(order)) for _ in range(n))
+    payload = run_json(
+        capsys,
+        "degrees", "--kind", "associativity", "--z-order", str(order),
+        f"--gammas={gammas}", "--method", "both",
+    )
+    assert payload["agree"] is True, gammas
+    assert payload["brute"]["total"] == payload["closed"]["total"] == (order * 2**n) ** 3
+
+
+@pytest.mark.parametrize("gammas", ("+1,+1,+1,+1", "3,1,2,0"))
+def test_degrees_closed_associativity_at_z4(capsys, gammas):
+    payload = run_json(
+        capsys,
+        "degrees", "--kind", "associativity", "--z-order", "4",
+        f"--gammas={gammas}", "--method", "both",
+    )
+    assert payload["agree"] is True
+    assert payload["closed"]["degree"] == {"num": 197, "den": 512, "decimal": "0.384765625"}
 
 
 def test_degrees_brute_accepts_mixed_gammas(capsys):
@@ -548,6 +576,46 @@ def test_verify_stdout_is_pinned(args, digest):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# sha256 of `cdl <args>` stdout, recorded before the report and sample
+# builders were rewritten; the bytes must not change.
+STDOUT_PINS = [
+    (["build", "--z-order", "4", "--gammas", "1,3,2,0"],
+     "e9fccf912541655b583f618eebf9810e77c4c196b316692c2e61b1f723a26f94"),
+    (["degrees", "--kind", "commutativity", "--factors=-1,-1;-1,+1", "--method", "both"],
+     "491f191baa31a51aad38f33ca61f7f38aa45dccc104e17c81a622802adea2b38"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_PINS, ids=["build", "degrees"])
+def test_stdout_is_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_at_a_huge_max_m_is_the_report_at_three():
+    # m * n <= 9 with n >= 3 leaves m <= 3: a larger max_m adds no check,
+    # and must not walk up to it either.  A child process, so that a walk
+    # fails on its timeout instead of hanging the suite.
+    src = str(Path(cdloops.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "CDL_MAX_ELEMENTS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, cdloops\n"
+        "m = int(sys.argv[1])\n"
+        "print(repr(cdloops.run_verify(max_n=3, max_m=m, z_orders=(2,), trials=1)))\n"
+    )
+    huge, three = (
+        subprocess.run(
+            [sys.executable, "-c", script, str(max_m)],
+            capture_output=True, env=env, timeout=60, check=True, text=True,
+        ).stdout
+        for max_m in (10**18, 3)
+    )
+    assert huge == three
+    assert "status='fail'" not in huge and "status='pass'" in huge
 
 
 # -- degrees: one descriptor for either kind ------------------------------------

@@ -122,6 +122,18 @@ def test_byte_classes_match_str_split_and_splitlines():
         assert abstract_loop._DIGIT_OF[code] == (int(chr(code)) if digit else 0)
 
 
+def test_the_blank_regexes_match_the_byte_table():
+    # The decoder finds the header with the regexes and reads the body with
+    # the byte table, so the two must class every byte alike.
+    kinds = abstract_loop._BYTE_CLASS
+    for code in range(256):
+        c, kind = chr(code), kinds[code]
+        breaks = abstract_loop._LINE_BREAK.fullmatch(c) is not None
+        non_blank = abstract_loop._NON_BLANK.fullmatch(c) is not None
+        assert breaks == (kind == abstract_loop._BREAK), repr(c)
+        assert non_blank == (kind not in (abstract_loop._SPACE, abstract_loop._BREAK)), repr(c)
+
+
 def table_text(cells, sep=" ", eol="\n", final=True) -> str:
     rows = [sep.join(row) for row in cells]
     return f"loop-table v1 {len(cells)}\n" + eol.join(rows) + (eol if final else "")

@@ -102,6 +102,18 @@ def test_coset_twist_matrix_equals_pmul_over_all_coset_pairs(order, m):
             assert M[c1, c2] == A.pmul(x, y).scalar.exponent, (c1, c2)
 
 
+@pytest.mark.parametrize("order", (2, 6, 130))
+def test_a_one_factor_coset_twist_matrix_is_the_cached_factor_table(order):
+    # No copy is made: every caller only reads the matrix, so a one-factor
+    # product hands back the factor's read-only table itself.
+    L = random_loop(random.Random(order), order, 3)
+    M = coset_twist_matrix(L.product)
+    assert M is L.twist_table()
+    assert not M.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        M[0, 0] = 1
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("m", (1, 2))
 def test_commutator_and_associator_images_stay_signs(order, m):
