@@ -77,21 +77,20 @@ class AbstractLoop:
     # -- validation ------------------------------------------------------------
 
     def _validate_latin(self) -> None:
+        # A line is a permutation iff it sorts to 0..N-1: sort blocks of rows,
+        # then of columns copied row-major, in the table dtype.
         arr, n = self.table, self.size
-        # Mark which values each row and each column hits.
-        index = np.arange(n)
-        seen = np.zeros((n, n), dtype=bool)
-        seen[index[:, None], arr] = True
-        row_ok = seen.all(axis=1)
-        if not row_ok.all():
-            i = int(np.flatnonzero(~row_ok)[0])
-            raise TableFormatError(f"row {i} is not a permutation of 0..{n - 1}")
-        seen[:] = False
-        seen[arr, index] = True
-        col_ok = seen.all(axis=0)
-        if not col_ok.all():
-            j = int(np.flatnonzero(~col_ok)[0])
-            raise TableFormatError(f"column {j} is not a permutation of 0..{n - 1}")
+        expected = np.arange(n, dtype=arr.dtype)
+        rows = max(1, _GATHER_CELLS // n)
+        for name, lines in (("row", arr), ("column", arr.T)):
+            for r in range(0, n, rows):
+                block = lines[r : r + rows].copy()
+                block.sort(axis=1)
+                bad = np.flatnonzero((block != expected).any(axis=1))
+                if bad.size:
+                    raise TableFormatError(
+                        f"{name} {r + bad[0]} is not a permutation of 0..{n - 1}"
+                    )
 
     def _find_identity(self) -> int:
         arr = self.table
@@ -195,16 +194,17 @@ class AbstractLoop:
         Returns the waves taken, each (xs, us, vs) with xs[i] = us[i] * vs[i]:
         xs are the distinct products outside the set, us and vs inside it."""
         waves = []
-        while True:
+        while not inside.all():
             S = np.flatnonzero(inside)
-            products = self.table[np.ix_(S, S)].ravel()
+            products = self.table.take(S, axis=0).take(S, axis=1).ravel()
             fresh = np.flatnonzero(~inside[products])
             if fresh.size == 0:
-                return waves
+                break
             xs, first = np.unique(products[fresh], return_index=True)
             cell = fresh[first]
             waves.append((xs, S[cell // S.size], S[cell % S.size]))
             inside[xs] = True
+        return waves
 
     def element_orders(self) -> list[int]:
         """Left-power order of each element: least k with x^(k) = identity,
@@ -241,14 +241,24 @@ class AbstractLoop:
         return counts
 
     def subloop(self, indices) -> "AbstractLoop":
-        """Induced loop on a closed subset, elements renumbered in sorted order."""
-        idx = np.unique(self._checked(indices)).tolist()
-        lut = np.full(self.size, -1, dtype=np.int64)
-        lut[idx] = np.arange(len(idx))
-        sub = lut[self.table[np.ix_(idx, idx)]]
-        if (sub < 0).any():
-            a, b = (idx[k] for k in np.argwhere(sub < 0)[0])
-            raise ValueError(f"subset is not closed: {a} * {b} = {self.mul(a, b)}")
+        """Induced loop on a closed subset, elements renumbered in sorted order,
+        by gathers and a lookup that stay in the table dtype."""
+        idx = np.unique(self._checked(indices))
+        inside = np.zeros(self.size, dtype=bool)
+        inside[idx] = True
+        lut = np.zeros(self.size, dtype=self.table.dtype)
+        lut[idx] = np.arange(idx.size)
+        sub = self.table.take(idx, axis=0).take(idx, axis=1)
+        rows = max(1, _GATHER_CELLS // max(1, idx.size))
+        for r in range(0, idx.size, rows):
+            block = sub[r : r + rows]
+            closed = inside.take(block)
+            if not closed.all():
+                i, j = np.argwhere(~closed)[0]
+                a, b = int(idx[r + i]), int(idx[j])
+                raise ValueError(f"subset is not closed: {a} * {b} = {self.mul(a, b)}")
+            lut.take(block, out=block)
+        sub.flags.writeable = False
         return AbstractLoop(sub, validate=False)
 
     def relabel(self, perm) -> "AbstractLoop":
@@ -274,10 +284,15 @@ class AbstractLoop:
     @cached_property
     def _signatures(self) -> list[tuple[int, int, int]]:
         # A central c is nuclear, so ((xc)a)b = ((xa)b)c and (xc)(ab) = (x(ab))c:
-        # x and xc associate with the same pairs, counted once per coset of Z(L).
+        # x and xc associate with the same pairs, counted once per coset of Z(L),
+        # for a block of coset representatives x at a time.
         arr = self.table
         reps, coset = np.unique(arr[:, self._center].min(axis=1), return_inverse=True)
-        assoc = np.array([(arr[arr[x]] == arr[x, arr]).sum() for x in reps])
+        assoc = np.empty(reps.size, dtype=np.int64)
+        block = max(1, _BLOCK_CELLS // self.size**2)
+        for lo in range(0, reps.size, block):
+            xa = arr[reps[lo : lo + block]]
+            assoc[lo : lo + block] = (arr[xa] == xa[:, arr]).sum(axis=(1, 2))
         return list(zip(self.element_orders(), self.commutant_sizes(), assoc[coset].tolist()))
 
     @cached_property
@@ -319,6 +334,49 @@ class AbstractLoop:
             program.append(_Step(g, waves, new, S, arr[np.ix_(new, S)], arr[np.ix_(S, new)],
                                  (a, b, arr[a, b], arr[b, a])))
         return program
+
+    @cached_property
+    def _parity_levels(self) -> list[bool]:
+        """For each ladder level k, whether some homomorphism onto Z2 is 0 on
+        the closure before the level and 1 on its generator g_k.
+
+        Each element gets a parity vector w over F2 from the word program:
+        w[g_k] = e_k and w[x] = w[u] ^ w[v] for each wave product x = u * v.
+        A homomorphism is f(w) for the linear f with f(e_k) = its value on
+        g_k, and f(w) is one iff f vanishes on R, the set of values
+        w[a * b] ^ w[a] ^ w[b].  So level k passes iff e_k lies outside the
+        span of R and e_0..e_(k-1), that is, iff no vector in the span of R
+        has leading bit k.  Vectors are bit masks in the narrowest unsigned
+        dtype, Python ints past 64 levels.
+        """
+        program = self._word_program
+        w = np.zeros(self.size, dtype=np.min_scalar_type((1 << len(program)) - 1))
+        for k, step in enumerate(program):
+            w[step.g] = 1 << k
+            for xs, us, vs in step.waves:
+                w[xs] = w[us] ^ w[vs]
+        leading = _span_leading_bits(w[self.table] ^ w[:, None] ^ w[None, :])
+        return [k not in leading for k in range(len(program))]
+
+    @cached_property
+    def _square_involution(self) -> int | None:
+        """The least central z other than e with z * z = e that is a square."""
+        arr, e = self.table, self.identity
+        squares = np.zeros(self.size, dtype=bool)
+        squares[np.diagonal(arr)] = True
+        return next((z for z in self._center if z != e and arr[z, z] == e and squares[z]), None)
+
+
+def _span_leading_bits(vectors: np.ndarray) -> set[int]:
+    """The leading bits of the nonzero vectors in the span of vectors, bit
+    masks over F2, by elimination in array passes: the largest vector left
+    gives a new leading bit, which it clears from every vector that has it."""
+    leading = set()
+    while top := int(vectors.max(initial=0)):
+        lead = top.bit_length() - 1
+        leading.add(lead)
+        vectors = np.where(vectors >> lead & 1, vectors ^ top, vectors)
+    return leading
 
 
 class _Step(NamedTuple):
@@ -597,6 +655,24 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     first isomorphism along the ladder.  Injectivity follows: a surviving
     row is a homomorphism on S, and if phi(a) = phi(b) then the x in S with
     a * x = b has phi(x) = e, so x has order 1 like e and is the identity.
+
+    A central involution halves the candidates at most levels.  Let z be
+    the least central element of right with z * z = e that is a square,
+    and at level k let lam be a homomorphism from left onto Z2 with lam = 0
+    on the closure S before the level and lam(g) = 1.  For an isomorphism
+    psi put psi'(x) = psi(x) * z^lam(x): a homomorphism, since z is central
+    and z * z = e.  It has no kernel: psi'(x) = e means psi(x) = z^lam(x),
+    so x = e where lam(x) = 0, and where lam(x) = 1, x = psi^-1(z), which
+    is a square because z is one, and lam is 0 on squares.  So psi -> psi'
+    is a bijection, its own inverse, from the isomorphisms with g -> c onto
+    those with g -> c * z that agree with psi on S.  Below any node, c
+    leads to a full map iff c * z does, and the first full map in
+    depth-first order maps g to the smaller of the two; such a level tries
+    only the c with c < c * z, the witness stays the same, and None stays
+    exact.  lam exists iff e_k is outside the span over F2 of the level
+    vectors before it and the defects of a parity labelling of left (see
+    AbstractLoop._parity_levels).
+
     Each test is necessary for an isomorphism, so the search is exhaustive:
     None means none exists.  Any witness found is re-verified over the full
     table.  Tables over MAX_ISO_SIZE elements are refused with BudgetExceeded.
@@ -615,32 +691,24 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     if sorted(sig_left) != sorted(sig_right):
         return None
 
-    n = left.size
     classes = {sig: k for k, sig in enumerate(sorted(set(sig_left)))}
     cls_left = np.array([classes[sig] for sig in sig_left])
     cls_right = np.array([classes[sig] for sig in sig_right])
     t2 = right.table.ravel()  # gathered flat at x * n + y
     program = left._word_program
-
-    def survivors(step: _Step, C: np.ndarray) -> np.ndarray:
-        """The rows of C, maps with g's image set, that pass step's tests."""
-        for xs, us, vs in step.waves:
-            C[:, xs] = t2[C[:, us] * n + C[:, vs]]
-        C = C[(cls_right[C[:, step.new]] == cls_left[step.new]).all(axis=1)]
-        a, b, ab, ba = step.probe
-        ok = (C[:, ab] == t2[C[:, a] * n + C[:, b]]).all(axis=1)
-        C = C[ok & (C[:, ba] == t2[C[:, b] * n + C[:, a]]).all(axis=1)]
-        img, img_S = C[:, step.new], C[:, step.S]
-        left_mul = C[:, step.new_by_S] == t2[img[:, :, None] * n + img_S[:, None, :]]
-        right_mul = C[:, step.S_by_new] == t2[img_S[:, :, None] * n + img[:, None, :]]
-        return C[left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))]
+    z = right._square_involution
+    pools = []  # right elements tried as each level's generator image
+    for k, step in enumerate(program):
+        pool = np.flatnonzero(cls_right == cls_left[step.g])
+        if z is not None and left._parity_levels[k]:
+            pool = pool[pool < right.table[pool, z]]
+        pools.append(pool)
 
     def search(level: int, rows: np.ndarray) -> np.ndarray | None:
         """The first full map below the partial maps rows, depth first."""
         if level == len(program):
             return rows[0]
-        step = program[level]
-        cands = np.flatnonzero(cls_right == cls_left[step.g])
+        step, cands = program[level], pools[level]
         # (row, candidate) pairs per block, candidates varying fastest, so
         # that the (pairs, |new|, |S|) temporaries stay within _BLOCK_CELLS.
         block = max(1, _BLOCK_CELLS // (step.new.size * step.S.size))
@@ -649,7 +717,7 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
             pick = pairs[lo : lo + block]
             C = rows[pick // cands.size]
             C[:, step.g] = cands[pick % cands.size]
-            nxt = survivors(step, C)
+            nxt = _survivors(step, C, t2, cls_left, cls_right)
             # The last two levels take a block's survivors in one pass, still
             # in depth-first order, so the first leaf found is the same.
             for part in [nxt] if level >= len(program) - 3 else nxt[:, None]:
@@ -658,7 +726,7 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
                     return found
         return None
 
-    row = np.full(n, -1, dtype=np.int64)  # int64: C * n + C would wrap in the table dtype
+    row = np.full(left.size, -1, dtype=np.int64)  # int64: C * n + C would wrap in the table dtype
     row[left.identity] = right.identity
     found = search(0, row[None])
     if found is None:
@@ -667,3 +735,19 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     if not verify_isomorphism(left, right, mapping):
         raise RuntimeError("internal error: isomorphism witness failed verification")
     return mapping
+
+
+def _survivors(step: _Step, C: np.ndarray, t2: np.ndarray, cls_left, cls_right) -> np.ndarray:
+    """The rows of C, maps with step.g's image set, that pass step's tests;
+    t2 is the right table, flat, and cls_* the signature classes."""
+    n = cls_right.size
+    for xs, us, vs in step.waves:
+        C[:, xs] = t2[C[:, us] * n + C[:, vs]]
+    C = C[(cls_right[C[:, step.new]] == cls_left[step.new]).all(axis=1)]
+    a, b, ab, ba = step.probe
+    ok = (C[:, ab] == t2[C[:, a] * n + C[:, b]]).all(axis=1)
+    C = C[ok & (C[:, ba] == t2[C[:, b] * n + C[:, a]]).all(axis=1)]
+    img, img_S = C[:, step.new], C[:, step.S]
+    left_mul = C[:, step.new_by_S] == t2[img[:, :, None] * n + img_S[:, None, :]]
+    right_mul = C[:, step.S_by_new] == t2[img_S[:, :, None] * n + img[:, None, :]]
+    return C[left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))]

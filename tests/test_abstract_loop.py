@@ -18,6 +18,7 @@ from cdloops import (
     to_table,
     verify_isomorphism,
 )
+from cdloops import abstract_loop
 from cdloops.central_product import coset_twist_matrix
 from cdloops.errors import BudgetExceeded
 from cdloops.verify import _dihedral_table
@@ -321,12 +322,78 @@ def test_close_reports_each_wave_it_takes(loop, seed):
     assert set(np.flatnonzero(inside).tolist()) == loop.closure(seed)
 
 
+def reference_close(loop: AbstractLoop, inside: np.ndarray) -> list:
+    """Test-only oracle: the wave loop that gathers S x S once more to find
+    nothing fresh, through np.ix_."""
+    waves = []
+    while True:
+        S = np.flatnonzero(inside)
+        products = loop.table[np.ix_(S, S)].ravel()
+        fresh = np.flatnonzero(~inside[products])
+        if fresh.size == 0:
+            return waves
+        xs, first = np.unique(products[fresh], return_index=True)
+        cell = fresh[first]
+        waves.append((xs, S[cell // S.size], S[cell % S.size]))
+        inside[xs] = True
+
+
+@pytest.mark.parametrize("seed", [[], [1], [2, 3], [1, 2, 4, 8, 16, 32, 64, 128, 256]])
+def test_close_takes_the_reference_waves(seed):
+    loop = to_table(CDLoop.all_minus_one(Z4, 8))
+    for table in (loop, random_relabel(loop, random.Random(len(seed)))[0]):
+        got, want = (np.zeros(table.size, dtype=bool) for _ in range(2))
+        got[[table.identity] + seed] = want[[table.identity] + seed] = True
+        waves = table._close(got)
+        expected = reference_close(table, want)
+        assert np.array_equal(got, want)
+        assert len(waves) == len(expected)
+        for wave, reference in zip(waves, expected):
+            assert all(np.array_equal(a, b) for a, b in zip(wave, reference))
+
+
 def test_subloop_extraction_and_diagnostic():
     sub = Q8.subloop([0, 1, 4, 5])
     assert sub.size == 4
     assert sorted(sub.element_orders()) == [1, 2, 4, 4]
     with pytest.raises(ValueError, match=r"subset is not closed: 1 \* 1 = 4"):
         Q8.subloop([0, 1])
+    with pytest.raises(TableFormatError, match="^table is empty$"):
+        Q8.subloop([])
+
+
+def reference_subloop(loop: AbstractLoop, indices) -> np.ndarray:
+    """Test-only oracle: an int64 lookup over an np.ix_ gather, -1 outside."""
+    idx = sorted(set(indices))
+    lut = np.full(loop.size, -1, dtype=np.int64)
+    lut[idx] = np.arange(len(idx))
+    return lut[loop.table[np.ix_(idx, idx)]]
+
+
+def test_subloop_of_a_1024_element_loop_equals_the_reference():
+    loop, _ = random_relabel(to_table(CDLoop.all_minus_one(Z4, 8)), random.Random(3))
+    for subset in (range(loop.size), loop.closure([5, 77]), loop.closure([900])):
+        sub = loop.subloop(subset)
+        assert sub.table.dtype == np.min_scalar_type(sub.size - 1)
+        assert not sub.table.flags.writeable
+        assert np.array_equal(sub.table, reference_subloop(loop, subset))
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 16], ids=["row-blocks", "default-blocks"])
+def test_subloop_names_the_first_product_outside_the_subset(monkeypatch, cells):
+    monkeypatch.setattr(abstract_loop, "_GATHER_CELLS", cells)
+    # The identity stays at 0: row 0 of every subset is clean.
+    rng = random.Random(cells)
+    rest = list(range(1, 1024))
+    rng.shuffle(rest)
+    loop = to_table(CDLoop.all_minus_one(Z4, 8)).relabel([0] + rest)
+    for _ in range(8):
+        subset = sorted(loop.closure([rng.randrange(loop.size)]) | set(rng.sample(range(1024), 2)))
+        a, b = (subset[k] for k in np.argwhere(reference_subloop(loop, subset) < 0)[0])
+        with pytest.raises(ValueError, match=rf"^subset is not closed: {a} \* {b} = {loop.mul(a, b)}$"):
+            loop.subloop(subset)
+    sub = loop.subloop(loop.closure([5, 77]))
+    assert np.array_equal(sub.table, reference_subloop(loop, loop.closure([5, 77])))
 
 
 def test_latin_square_diagnostics():
@@ -376,6 +443,24 @@ def test_latin_check_names_the_first_bad_row_or_column():
         with pytest.raises(TableFormatError, match=f"^{want}$"):
             AbstractLoop(arr)
     assert seen == {"row", "column"}
+
+
+def test_latin_check_names_the_first_bad_line_past_the_first_block():
+    # 1024 rows are sorted 64 at a time: defects sit in later blocks.
+    rng = random.Random(12)
+    base = to_table(CDLoop.all_minus_one(Z4, 8)).table
+    for _ in range(6):
+        arr = base.copy()
+        i = rng.randrange(100, 1024)
+        j, k = rng.sample(range(1024), 2)
+        if rng.random() < 0.5:  # a swap in row i breaks columns j and k only
+            arr[i, j], arr[i, k] = arr[i, k], arr[i, j]
+        else:
+            arr[i, j] = arr[i, k]
+        want = sorted_latin_defect(arr)
+        assert want is not None
+        with pytest.raises(TableFormatError, match=f"^{want}$"):
+            AbstractLoop(arr)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from cdloops import (
     find_isomorphism,
     make_product,
     make_scalar_group,
+    random_relabel,
     to_table,
     verify_isomorphism,
 )
@@ -307,3 +308,161 @@ def test_signatures_equal_the_per_element_oracle(loop, center_size):
         fresh = AbstractLoop(table.table, validate=False)
         assert len(fresh.center()) == center_size
         assert fresh._signatures == reference_signatures(fresh)
+
+
+# -- pruning by a central involution ---------------------------------------------
+
+
+def unpruned(monkeypatch) -> None:
+    """From here on no right loop has a square central involution, so the
+    search tries every candidate at every level: the unpruned oracle."""
+    monkeypatch.setattr(AbstractLoop, "_square_involution", property(lambda self: None))
+
+
+def direct_product(a: AbstractLoop, b: AbstractLoop) -> AbstractLoop:
+    """Element (x, y) at index x * |b| + y."""
+    table = a.table.astype(np.intp)[:, None, :, None] * b.size + b.table[None, :, None, :]
+    return AbstractLoop(table.reshape(a.size * b.size, a.size * b.size))
+
+
+Z4_CYCLIC = to_table(CDLoop(make_scalar_group(4), ()))
+# ORDER_5 has odd order, so no homomorphism onto Z2: past the Z4 level every
+# level of this product's ladder is unprunable, while z = (0, 2) exists.
+ORDER_5_BY_Z4 = direct_product(ORDER_5, Z4_CYCLIC)
+
+
+def n4_z2_pairs():
+    rng = random.Random(25)
+    return [(N4_Z2[a], fixed_zero_relabel(N4_Z2[b], rng))
+            for a, b in itertools.combinations(N4_Z2, 2)]
+
+
+def test_pruning_keeps_every_n4_z2_answer(monkeypatch):
+    pairs = n4_z2_pairs()
+    assert len(pairs) == 120
+    assert all(right._square_involution is not None for _, right in pairs)
+    pruned = [find_isomorphism(left, right) for left, right in pairs]
+    assert sum(w is not None for w in pruned) == 42
+    unpruned(monkeypatch)
+    assert [find_isomorphism(left, right) for left, right in pairs] == pruned
+
+
+def relabel_test_pairs():
+    """Relabelled copies and relabelled strangers over |Z| in {2, 4, 6, 8}."""
+    rng = random.Random(2025)
+    pairs = []
+    for dims in [(1, 3, 2), (1, 4, 4), (1, 3, 6), (1, 2, 8), (1, 1, 6), (2, 2, 2),
+                 (2, 2, 4), (2, 2, 6), (2, 3, 2), (2, 1, 8), (1, 5, 2), (1, 4, 8)]:
+        left = to_table(random_product(rng, *dims))
+        pairs.append((left, fixed_zero_relabel(left, rng)))
+        pairs.append((left, fixed_zero_relabel(to_table(random_product(rng, *dims)), rng)))
+    pairs.append((ORDER_5_BY_Z4, fixed_zero_relabel(ORDER_5_BY_Z4, rng)))
+    return pairs
+
+
+def test_pruning_keeps_every_answer_on_random_relabelings(monkeypatch):
+    pairs = relabel_test_pairs()
+    pruned = [find_isomorphism(left, right) for left, right in pairs]
+    assert None in pruned and pruned.count(None) < len(pruned) // 2
+    pruning = [right._square_involution is not None and any(left._parity_levels)
+               for left, right in pairs]
+    assert pruning.count(False) == 1  # a 12-element |Z| = 6 loop with no square z
+    unpruned(monkeypatch)
+    for (left, right), want in zip(pairs, pruned):
+        fresh = AbstractLoop(left.table, validate=False)
+        assert find_isomorphism(fresh, right) == want
+
+
+def brute_parity_levels(loop: AbstractLoop) -> list[bool]:
+    """Test-only oracle: try every Z2 value on every ladder generator, extend
+    by products to the whole loop, and keep the homomorphisms."""
+    gens = reference_ladder(loop)
+    table = loop.table.astype(np.intp)
+    homs = []
+    for values in itertools.product((0, 1), repeat=len(gens)):
+        lam = np.full(loop.size, -1)
+        lam[loop.identity] = 0
+        lam[gens] = values
+        while (lam < 0).any():
+            known = np.flatnonzero(lam >= 0)
+            lam[table[np.ix_(known, known)]] = lam[known][:, None] ^ lam[known][None, :]
+        if np.array_equal(lam[table], lam[:, None] ^ lam[None, :]):
+            homs.append(values)
+    return [any(not any(v[:k]) and v[k] for v in homs) for k in range(len(gens))]
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [N4_Z2[(1, 1, 1, 1)], N4_Z2[(0, 1, 1, 0)], cd_table(4, (2, 3, 3)), cd_table(6, (1, 5)),
+     cd_table(8, (0, 1)), Z4_CYCLIC, to_table(random_product(random.Random(5), 2, 2, 4)),
+     ORDER_5, ORDER_5_BY_Z4],
+    ids=["z2-minus", "z2-mixed", "z4", "z6", "z8", "cyclic-4", "m2-product", "order-5",
+         "order-5-by-z4"],
+)
+def test_parity_levels_equal_the_brute_force_homomorphisms(loop):
+    for table in (loop, fixed_zero_relabel(loop, random.Random(loop.size))):
+        fresh = AbstractLoop(table.table, validate=False)
+        assert fresh._parity_levels == brute_parity_levels(fresh)
+
+
+def test_an_unprunable_level_and_a_right_loop_without_a_square_involution():
+    assert ORDER_5._parity_levels == [False, False]
+    assert ORDER_5_BY_Z4._parity_levels == [True, False, False]
+    assert ORDER_5_BY_Z4._square_involution == 2  # (0, 2), the square of (0, 1)
+    # Z6 and Z6 x Z2: central involutions, none of them a square.
+    for loop in (cd_table(6, ()), cd_table(6, (0,)), ORDER_5):
+        assert loop._square_involution is None
+    rng = random.Random(6)
+    for loop in (ORDER_5_BY_Z4, cd_table(6, (0,)), ORDER_5):
+        right = fixed_zero_relabel(loop, rng)
+        witness = find_isomorphism(loop, right)
+        assert witness == reference_find_isomorphism(loop, right)
+        assert verify_isomorphism(loop, right, witness)
+
+
+def count_rows(monkeypatch) -> dict:
+    """Rows tried and rows kept per ladder generator, summed over the search."""
+    counts: dict = {}
+    survivors = abstract_loop._survivors
+
+    def counted(step, C, *args):
+        kept = survivors(step, C, *args)
+        tried_kept = counts.setdefault(step.g, [0, 0])
+        tried_kept[0] += len(C)
+        tried_kept[1] += len(kept)
+        return kept
+
+    monkeypatch.setattr(abstract_loop, "_survivors", counted)
+    return counts
+
+
+def test_pruned_row_counts_on_the_n5_minus_one_loop(monkeypatch):
+    left = to_table(CDLoop.all_minus_one(Z2, 5))
+    right, _ = random_relabel(left, random.Random(1))
+    assert left._parity_levels == [True] * 5
+    gens = [step.g for step in left._word_program]
+    counts = count_rows(monkeypatch)
+    witness = find_isomorphism(left, right)
+    assert [counts[g] for g in gens] == [[30, 30], [120, 112], [2670, 352], [10560, 4], [4, 4]]
+    counts.clear()
+    unpruned(monkeypatch)
+    assert find_isomorphism(AbstractLoop(left.table), right) == witness
+    assert [counts[g] for g in gens] == [
+        [60, 60], [240, 224], [10380, 1328], [79680, 16], [32, 32]
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, object])
+def test_span_leading_bits_equal_the_enumerated_span(dtype):
+    rng = random.Random(str(dtype))
+    for _ in range(300):
+        bits = rng.randrange(1, 9)
+        vectors = [rng.randrange(1 << bits) for _ in range(rng.randrange(0, 6))]
+        span = {0}
+        for v in vectors:
+            span |= {u ^ v for u in span}
+        want = {u.bit_length() - 1 for u in span if u}
+        array = np.array(vectors, dtype=dtype).reshape(-1, 1)
+        assert abstract_loop._span_leading_bits(array) == want, vectors
+    # Two vectors with one leading bit span a third with a lower one.
+    assert abstract_loop._span_leading_bits(np.array([6, 5], dtype=np.uint8)) == {2, 1}
