@@ -16,7 +16,6 @@ numpy passes per node.
 from __future__ import annotations
 
 import random
-import re
 from functools import cached_property
 from typing import NamedTuple
 
@@ -347,7 +346,9 @@ class AbstractLoop:
         w[a * b] ^ w[a] ^ w[b].  So level k passes iff e_k lies outside the
         span of R and e_0..e_(k-1), that is, iff no vector in the span of R
         has leading bit k.  Vectors are bit masks in the narrowest unsigned
-        dtype, Python ints past 64 levels.
+        dtype.  For a subloop S and x outside it, x * S is disjoint from S,
+        so each level at least doubles the closure: there are at most
+        log2 N levels, and 64 bits always suffice.
         """
         program = self._word_program
         w = np.zeros(self.size, dtype=np.min_scalar_type((1 << len(program)) - 1))
@@ -435,11 +436,11 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
 
 # -- loop-table v1 interchange format -----------------------------------------------
 
-# Bytes of text decoded per pass of parse_loop_table (blocks are cut after a
-# line break), and the rough output size of one serialize_loop_table pass.
-_CODEC_BLOCK_BYTES = 1 << 20
+# Bytes of text decoded per pass of parse_loop_table (blocks are whole rows),
+# and the rough output size of one serialize_loop_table pass.
+_CODEC_BLOCK_BYTES = 1 << 19
 # Digits an entry may carry in the block decoder, which sums them in the
-# narrowest exact unsigned dtype; the line reader takes any longer entry.
+# narrowest exact unsigned dtype; rows with a longer entry are read one by one.
 _MAX_DIGITS = 18
 
 # ASCII byte classes as str.split and str.splitlines see them, and the block
@@ -452,8 +453,6 @@ _BYTE_CLASS[[ord(c) for c in _BREAKS]] = _BREAK
 _BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
 _CLASS_OF = _BYTE_CLASS.tobytes()
 _DIGIT_OF = bytes(c - ord("0") if k == _DIGIT else 0 for c, k in enumerate(_BYTE_CLASS))
-_LINE_BREAK = re.compile(f"[{_BREAKS}]")
-_NON_BLANK = re.compile(f"[^{_SPACES}{_BREAKS}]")
 
 
 def serialize_loop_table(loop: AbstractLoop) -> str:
@@ -486,16 +485,31 @@ def serialize_loop_table(loop: AbstractLoop) -> str:
 def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop:
     """Parse the loop-table v1 format and normalize the identity to index 0.
 
-    The N^2 cells named by the header are charged against the enumeration
-    budget before any row is parsed.  The body is decoded from ASCII bytes
-    in blocks of about 1 MiB, through byte-translate tables and one gather
-    per decimal place, straight into the N x N table; text the decoder
-    refuses is re-read line by line, which reports its first defect or, if
-    it has none, returns the table.
+    The text is split into lines once, and blank lines are dropped.  The N^2
+    cells named by the header are charged against the enumeration budget
+    before any row is read.  ASCII rows are decoded in blocks of whole rows
+    of about 512 KiB, through byte-translate tables and one gather per
+    decimal place, straight into the N x N table.  Rows the decoder refuses,
+    and non-ASCII text, are read one at a time, which reports the first
+    defect or, if there is none, builds the table.
     """
-    loop = _decode_loop_table(text, max_elements) if text.isascii() else None
-    if loop is None:
-        loop = _read_lines(text, max_elements)
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise TableFormatError("empty input")
+    n = _read_header(lines[0], max_elements)
+    rows = lines[1:]
+    if len(rows) != n:
+        raise TableFormatError(f"expected {n} rows after the header, got {len(rows)}")
+    # A row of n entries holds at least 2n - 1 characters: a body with a
+    # shorter row cannot fill the table, so none is allocated for it.
+    table = None
+    if text.isascii() and min(map(len, rows)) >= 2 * n - 1:
+        table = _decode_rows(rows, n)
+    if table is None:
+        table = np.vstack([_read_row(i, row, n) for i, row in enumerate(rows)])
+        if not text.isascii():
+            raise TableFormatError("table has non-ASCII whitespace or line breaks")
+    loop = AbstractLoop(table)
     if loop.identity != 0:
         perm = list(range(loop.size))
         perm[0], perm[loop.identity] = perm[loop.identity], perm[0]
@@ -517,35 +531,25 @@ def _read_header(line: str, max_elements: int | None) -> int:
     return n
 
 
-def _decode_loop_table(text: str, max_elements: int | None) -> AbstractLoop | None:
-    """The table in ASCII text, or None where the text has any defect
-    below its header (a header defect raises here)."""
-    first = _NON_BLANK.search(text)
-    if first is None:
-        return None
-    brk = _LINE_BREAK.search(text, first.start())
-    head_end = brk.start() if brk else len(text)
-    n = _read_header(text[:head_end].splitlines()[-1], max_elements)
-    start = brk.end() if brk else len(text)
-    # n rows of n one-digit entries need 2n^2 - 1 bytes; refusing shorter
-    # bodies here keeps the table near 1 byte per byte of text (2-byte cells
-    # up to 65536 elements).
-    if len(text) - start < 2 * n * n - 1:
-        return None
-    out = np.empty(n * n, dtype=np.min_scalar_type(n - 1))
-    filled = 0
-    while start < len(text):
-        stop = _LINE_BREAK.search(text, start + _CODEC_BLOCK_BYTES)
-        stop = stop.end() if stop else len(text)
-        values = _decode_block(text[start:stop].encode("ascii"), n)
-        # An entry past N - 1 would wrap in out: the line reader reports it.
-        if values is None or filled + values.size > out.size or values.max(initial=0) >= n:
+def _decode_rows(rows: list[str], n: int) -> np.ndarray | None:
+    """The n x n table in n ASCII rows, or None where the block decoder
+    refuses a block: runs of whole rows of about _CODEC_BLOCK_BYTES, so a
+    block holds at most that much text plus one row."""
+    out = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+    start = 0
+    while start < n:
+        stop, size = start + 1, len(rows[start])
+        while stop < n and size < _CODEC_BLOCK_BYTES:
+            size += len(rows[stop]) + 1
+            stop += 1
+        values = _decode_block("\n".join(rows[start:stop]).encode("ascii"), n)
+        # An entry past N - 1 would wrap in out: the row reader reports it.
+        if values is None or values.max(initial=0) >= n:
             return None
-        out[filled : filled + values.size] = values
-        filled += values.size
+        out[start:stop] = values.reshape(stop - start, n)
         start = stop
     out.flags.writeable = False
-    return AbstractLoop(out.reshape(n, n)) if filled == out.size else None
+    return out
 
 
 def _decode_block(data: bytes, n: int) -> np.ndarray | None:
@@ -577,38 +581,24 @@ def _decode_block(data: bytes, n: int) -> np.ndarray | None:
     return values
 
 
-def _read_lines(text: str, max_elements: int | None) -> AbstractLoop:
-    """Read text line by line: raise the error for its first defect, or
-    return the table if it has none.
+def _read_row(i: int, line: str, n: int) -> np.ndarray:
+    """Row i's n entries as int64, or the error for its first defect.
 
-    Called on text the block decoder refused: a defect in the header, the
-    row count, a row's entries or non-ASCII text, an entry of 19 or more
-    significant digits, which is outside 0..N-1, or a valid entry written
-    with more than _MAX_DIGITS digits, leading zeros included.
+    Reads what the block decoder refuses: a defect, non-ASCII text, or an
+    entry of more than _MAX_DIGITS digits, leading zeros included.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise TableFormatError("empty input")
-    n = _read_header(lines[0], max_elements)
-    if len(lines) - 1 != n:
-        raise TableFormatError(f"expected {n} rows after the header, got {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != n:
-            raise TableFormatError(f"row {i} has {len(parts)} entries, expected {n}")
-        # int() would also read signs, digit separators and non-ASCII digits.
-        if not line.isascii() or "+" in line or "-" in line or "_" in line:
-            raise TableFormatError(f"row {i} contains a non-integer entry")
-        try:
-            rows.append(np.fromiter(map(int, parts), dtype=np.int64, count=n))
-        except ValueError:
-            raise TableFormatError(f"row {i} contains a non-integer entry") from None
-        except OverflowError:
-            raise TableFormatError(f"row {i} has an entry outside 0..{n - 1}") from None
-    if not text.isascii():
-        raise TableFormatError("table has non-ASCII whitespace or line breaks")
-    return AbstractLoop(np.vstack(rows))
+    parts = line.split()
+    if len(parts) != n:
+        raise TableFormatError(f"row {i} has {len(parts)} entries, expected {n}")
+    # int() would also read signs, digit separators and non-ASCII digits.
+    if not line.isascii() or "+" in line or "-" in line or "_" in line:
+        raise TableFormatError(f"row {i} contains a non-integer entry")
+    try:
+        return np.fromiter(map(int, parts), dtype=np.int64, count=n)
+    except ValueError:
+        raise TableFormatError(f"row {i} contains a non-integer entry") from None
+    except OverflowError:
+        raise TableFormatError(f"row {i} has an entry outside 0..{n - 1}") from None
 
 
 def random_relabel(

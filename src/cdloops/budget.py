@@ -17,8 +17,8 @@ DEFAULT_MAX_ELEMENTS = 1 << 20
 ENV_VAR = "CDL_MAX_ELEMENTS"
 
 # Cap on the cells of one block of temporaries in the blocked numpy passes:
-# find_isomorphism's candidate rows, analytics' _associates and
-# associator_exponent_image.
+# find_isomorphism's candidate rows, AbstractLoop._signatures, analytics'
+# _associates and associator_exponent_image.
 _BLOCK_CELLS = 1 << 20
 
 

@@ -1,5 +1,5 @@
 """The loop-table v1 writer against its reference, the block decoder against
-the line reader, and the codec's memory.
+the row reader, and the codec's memory.
 
 `reference_serialize` is the `" ".join` writer that `serialize_loop_table`
 replaced; the output must stay byte-identical to it.  The parser's
@@ -122,18 +122,6 @@ def test_byte_classes_match_str_split_and_splitlines():
         assert abstract_loop._DIGIT_OF[code] == (int(chr(code)) if digit else 0)
 
 
-def test_the_blank_regexes_match_the_byte_table():
-    # The decoder finds the header with the regexes and reads the body with
-    # the byte table, so the two must class every byte alike.
-    kinds = abstract_loop._BYTE_CLASS
-    for code in range(256):
-        c, kind = chr(code), kinds[code]
-        breaks = abstract_loop._LINE_BREAK.fullmatch(c) is not None
-        non_blank = abstract_loop._NON_BLANK.fullmatch(c) is not None
-        assert breaks == (kind == abstract_loop._BREAK), repr(c)
-        assert non_blank == (kind not in (abstract_loop._SPACE, abstract_loop._BREAK)), repr(c)
-
-
 def table_text(cells, sep=" ", eol="\n", final=True) -> str:
     rows = [sep.join(row) for row in cells]
     return f"loop-table v1 {len(cells)}\n" + eol.join(rows) + (eol if final else "")
@@ -160,9 +148,10 @@ def test_the_block_decoder_reads_what_the_line_reader_reads(case):
     text = DECODER_CASES[case]
     values = abstract_loop._decode_block(text[text.index("\n") + 1 :].encode(), 8)
     assert values is not None
-    want = abstract_loop._read_lines(text, None).table
+    rows = text.splitlines()[1:]
+    want = np.vstack([abstract_loop._read_row(i, row, 8) for i, row in enumerate(rows)])
     assert np.array_equal(values, want.ravel())
-    assert np.array_equal(abstract_loop._decode_loop_table(text, None).table, want)
+    assert np.array_equal(abstract_loop._decode_rows(rows, 8), want)
     assert values.dtype == (np.uint64 if "18-digit" in case else np.uint8)
 
 
@@ -177,8 +166,8 @@ def test_the_block_decoder_is_exact_in_its_widest_accumulator():
 
 @pytest.mark.parametrize("width", [19, 20, 40])
 def test_entries_padded_with_leading_zeros_parse_to_the_same_loop(width):
-    # Entries longer than the block decoder's digit limit go to the line
-    # reader, which returns the table when it finds no defect.
+    # Rows with entries longer than the block decoder's digit limit go to
+    # the row reader, which builds the table when it finds no defect.
     loop = relabelled(LOOPS[16](), 16)
     padded = [f"loop-table v1 {loop.size}"]
     padded += [" ".join(f"{v:0{width}d}" for v in row) for row in loop.table.tolist()]
@@ -222,6 +211,16 @@ def test_a_body_too_short_for_its_header_allocates_no_table():
     def parse():
         with pytest.raises(TableFormatError, match="expected 1024 rows after the header, got 1"):
             parse_loop_table("loop-table v1 1024\n" + "0 " * 1000 + "\n")
+
+    assert traced_peak(parse) < 1 << 20
+
+
+def test_a_body_of_short_rows_allocates_no_table():
+    # Enough rows for the header, each far shorter than a row of 3000
+    # entries: refused at row 0 without a 3000 x 3000 table.
+    def parse():
+        with pytest.raises(TableFormatError, match="^row 0 has 1 entries, expected 3000$"):
+            parse_loop_table("loop-table v1 3000\n" + "0\n" * 3000, max_elements=3000**2)
 
     assert traced_peak(parse) < 1 << 20
 

@@ -239,6 +239,8 @@ def test_ladder_equals_the_reference_greedy_ladder(dims):
     for loop in (table, fixed_zero_relabel(table, rng)):
         fresh = AbstractLoop(loop.table, validate=False)
         assert [s.g for s in fresh._word_program] == reference_ladder(loop)
+        # Each level at least doubles the closure: at most log2 N levels.
+        assert 2 ** len(fresh._word_program) <= loop.size
 
 
 def cd_table(z_order: int, gammas) -> AbstractLoop:
