@@ -302,7 +302,8 @@ class AbstractLoop:
         largest (ties go to the smallest index), with the waves _close took
         to reach the elements it adds.  A candidate inside an earlier
         candidate's closure at the same step is skipped: its own closure is
-        contained in that one, so it can never strictly win.
+        contained in that one, so it can never strictly win.  Nor can, at the
+        first step once a candidate is held, an involution: {e, g} is least.
         """
         arr = self.table
         inside = np.zeros(self.size, dtype=bool)
@@ -312,7 +313,7 @@ class AbstractLoop:
             best = None
             covered = inside.copy()
             for g in range(self.size):
-                if covered[g]:
+                if covered[g] or best is not None and not program and arr[g, g] == self.identity:
                     continue
                 grown = inside.copy()
                 grown[g] = True

@@ -6,13 +6,14 @@ the two can be compared at zero tolerance.  Scalars are central, so they
 cancel in every commutator, associator and Moufang word: each survey is a
 statement about cosets of Z, walks masks rather than elements, and
 multiplies counts back by powers of |Z|.  Every survey takes a loop or a
-central product (a loop is its own one-factor product) and reads the coset
-twist matrix T, or for commutators C = T - T.T mod |Z|, the Kronecker sum
-of the factors' commutator tables: c1, c2 commute exactly when C[c1, c2] is
-0.  Every exponent sum goes through add_exponents, which keeps each survey
-exact for every |Z|.  Associativity and di-associativity verdicts depend
-only on the XOR span of the masks involved, so those surveys judge each
-subspace of A/Z = F2**(m*n) of dimension <= 3 (or 2) once.
+central product (a loop is its own one-factor product).  The coset twist
+matrix T and C = T - T.T mod |Z| (c1, c2 commute iff C[c1, c2] = 0) are
+Kronecker sums of factor tables, so survey exponents sum factor terms at
+free indices: the images, commutant coset sizes, Moufang and
+di-associativity walk each factor once (each docstring proves how), the
+brute degrees every coset pair or triple.  Array exponents add through
+add_exponents, exact for every |Z|.  Associativity depends only on the XOR
+span of the masks: each subspace of dimension <= 3 (or 2) is judged once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .budget import _BLOCK_CELLS, ensure_budget
 from .cdloop import CDLoop, as_product
 from .central_product import CentralProduct, ProductElement, coset_twist_matrix
-from .central_product import _coset_commutator_matrix
+from .central_product import _kronecker_bands, _kronecker_sum
 from .scalars import add_exponents, twist_dtype
 
 # Ordered triples of vectors that span a given r-dimensional space, for
@@ -164,24 +165,48 @@ def commutant(
     return A._coset_elements(np.flatnonzero(~odd))
 
 
+def _factor_commutators(A: CentralProduct) -> list[np.ndarray]:
+    """Each factor's commutator exponents t_i - t_i.T mod |Z| over its mask pairs."""
+    return [add_exponents(t, A.z.order - t.T, A.z.order) for t in A.twist_tables()]
+
+
 def commutant_coset_sizes(
     A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> list[int]:
-    """|C_A(x)/Z| for one representative per coset, indexed by combined mask."""
+    """|C_A(x)/Z| for one representative per coset, indexed by combined mask.
+
+    Row (e_1..e_m) counts the (f_1..f_m), each f_i free, with sum_i
+    c_i(e_i, f_i) = 0 mod |Z|: the zero coefficient of the convolution over
+    Z_|Z| of the rows' value counts, folded factor by factor (the last one
+    only at the values that cancel).  Counts (int64) <= coset_count.
+    """
     A = as_product(A)
     ensure_budget(A.coset_count**2, max_elements, "commutant survey over coset pairs")
-    commutators = _coset_commutator_matrix(A)
-    return [int(c) for c in A.coset_count - np.count_nonzero(commutators, axis=1)]
+    order = A.z.order
+    *inner, last = _factor_commutators(A)
+    values, counts = np.zeros(1, twist_dtype(order)), np.ones((1, 1), np.int64)
+    for c in inner:
+        image = np.unique(c)
+        hist = (c[:, :, None] == image).sum(axis=1)
+        cross = (hist[:, None, None] * counts[:, :, None]).reshape(len(c) * len(counts), -1)
+        values, where = np.unique(add_exponents(values[:, None], image, order), return_inverse=True)
+        counts = np.zeros((len(cross), values.size), np.int64)
+        np.add.at(counts, (slice(None), where.ravel()), cross)
+    zero = (last[:, :, None] == (order - values) % order).sum(axis=1)
+    return (zero @ counts.T).ravel().tolist()
 
 
 def commutativity_degree_brute(
     A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> DegreeReport:
-    """Count commuting pairs exhaustively over A/Z x A/Z."""
+    """Count commuting pairs exhaustively over A/Z x A/Z: the zeros of C, one
+    band of its last Kronecker level at a time, never holding it whole."""
     A = as_product(A)
     pairs = A.coset_count**2
     ensure_budget(pairs, max_elements, "commutativity survey over coset pairs")
-    zeros = pairs - int(np.count_nonzero(_coset_commutator_matrix(A)))
+    *inner, last = _factor_commutators(A)
+    bands = _kronecker_bands(last, _kronecker_sum(inner, A.z.order), A.z.order) if inner else [last]
+    zeros = pairs - sum(int(np.count_nonzero(band)) for band in bands)
     favorable = zeros * A.z.order**2
     total = A.order**2
     return DegreeReport(
@@ -298,11 +323,15 @@ def commutator_exponent_image(
     """Scalar exponents of x*y / (y*x) over all pairs.
 
     Scalar parts of x and y cancel in the commutator, so the image over
-    coset pairs equals the image over all element pairs.
+    coset pairs equals the image over all element pairs: sum_i c_i(e_i, f_i)
+    with each (e_i, f_i) free, the sumset of the factor images.
     """
     A = as_product(A)
     ensure_budget(A.coset_count**2, max_elements, "commutator image over coset pairs")
-    return {int(v) for v in np.unique(_coset_commutator_matrix(A))}
+    image = {0}
+    for factor in (np.unique(c).tolist() for c in _factor_commutators(A)):
+        image = {(a + b) % A.z.order for a in image for b in factor}
+    return image
 
 
 def associator_exponent_image(
@@ -311,23 +340,25 @@ def associator_exponent_image(
     """Scalar exponents of ((x*y)*z) / (x*(y*z)) over all triples.
 
     As with commutators, scalar parts cancel, so coset triples cover the
-    full element-triple image.  Cosets e are walked in blocks whose
-    temporaries stay within _BLOCK_CELLS cells.
+    full element-triple image.  Masks XOR factorwise, so the exponent sums
+    free factor terms a_i(e_i, f_i, g_i): the sumset of the factor images.
+    Masks e go in blocks whose temporaries stay within _BLOCK_CELLS cells.
     """
     A = as_product(A)
-    size = A.coset_count
-    ensure_budget(size**3, max_elements, "associator image over coset triples")
+    ensure_budget(A.coset_count**3, max_elements, "associator image over coset triples")
     order = A.z.order
-    twist = coset_twist_matrix(A)
-    combo = np.arange(size)
-    xor = combo[:, None] ^ combo[None, :]
-    block = max(1, _BLOCK_CELLS // size**2)
-    image = set()
-    for start in range(0, size, block):
-        e = combo[start : start + block, None]
-        left = add_exponents(twist[e, combo][:, :, None], twist[e ^ combo], order)
-        right = add_exponents(twist, twist[e[:, :, None], xor], order)
-        image.update(np.unique(add_exponents(left, order - right, order)).tolist())
+    image = {0}
+    for twist in A.twist_tables():
+        combo = np.arange(len(twist))
+        xor = combo[:, None] ^ combo[None, :]
+        block = max(1, _BLOCK_CELLS // len(twist) ** 2)
+        factor = set()
+        for start in range(0, len(twist), block):
+            e = combo[start : start + block, None]
+            left = add_exponents(twist[start : start + block, :, None], twist[e ^ combo], order)
+            right = add_exponents(twist, twist[start : start + block][:, xor], order)
+            factor.update(np.unique(add_exponents(left, order - right, order)).tolist())
+        image = {(a + b) % order for a in image for b in factor}
     return image
 
 
@@ -338,13 +369,16 @@ def is_di_associative(
     A: CDLoop | CentralProduct, max_elements: int | None = None
 ) -> bool:
     """True iff every 2-generated subloop is a group: every subspace of A/Z
-    of dimension <= 2 associates (see generates_group)."""
+    of dimension <= 2 associates (see generates_group).  Defects on
+    span{x, y} sum the factors' defects on span{x_i, y_i}, and are 0 on the
+    zero triple: a product passes iff every factor does (a failing factor
+    pair, masks 0 elsewhere, fails in the product)."""
     A = as_product(A)
     ensure_budget(
         4 ** (A.m * A.n), max_elements, "di-associativity survey over coset pairs"
     )
-    spans, _ = _subspaces(A.m * A.n, 2)
-    return bool(_associates(coset_twist_matrix(A), A.z.order, spans).all())
+    spans, _ = _subspaces(A.n, 2)
+    return all(_associates(t, A.z.order, spans).all() for t in A.twist_tables())
 
 
 def moufang_identity_holds(
@@ -354,19 +388,21 @@ def moufang_identity_holds(
 
     Both sides carry the same central scalar parts, so it suffices that
     t(e,f) + t(e^f,g) + t(e^f^g,f) == t(g,f) + t(f,g^f) + t(e,g) mod |Z|
-    for all coset masks.  The reduced sides are compared one coset e at a
-    time; t(g,f) + t(f,g^f) does not involve e and is summed once.
+    for all coset masks.  The defect, left minus right, sums the factors'
+    defects and is 0 on the zero triple: a product passes iff every factor
+    does (a failing factor triple, masks 0 elsewhere, fails in the product).
+    Per factor, masks e go one at a time; t(g,f) + t(f,g^f) is summed once.
     """
     A = as_product(A)
     ensure_budget(8 ** (A.m * A.n), max_elements, "Moufang survey over coset triples")
     order = A.z.order
-    t = coset_twist_matrix(A)
-    f = np.arange(A.coset_count)[:, None]
-    g = f.T
-    head = add_exponents(t[g, f], t[f, g ^ f], order)
-    for e in range(len(f)):
-        left = add_exponents(t[e, f], t[e ^ f, g], order)
-        add_exponents(left, t[e ^ f ^ g, f], order, out=left)
-        if (left != add_exponents(head, t[e, g], order)).any():
-            return False
+    for t in A.twist_tables():
+        f = np.arange(len(t))[:, None]
+        g = f.T
+        head = add_exponents(t[g, f], t[f, g ^ f], order)
+        for e in range(len(f)):
+            left = add_exponents(t[e, f], t[e ^ f, g], order)
+            add_exponents(left, t[e ^ f ^ g, f], order, out=left)
+            if (left != add_exponents(head, t[e, g], order)).any():
+                return False
     return True

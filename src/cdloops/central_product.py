@@ -7,7 +7,7 @@ form (global scalar, mask per factor): factor scalars all fold into one.
 Factors multiply independently, so the product of two canonical forms
 multiplies the global scalars by every per-factor twist.  Over cosets of Z,
 twists and commutator exponents add up to Kronecker sums of per-factor
-tables: coset_twist_matrix, and the matrix the commutator surveys read.
+tables: coset_twist_matrix, whose rows _kronecker_bands yields band by band.
 
 A single Cayley-Dickson loop is the one-factor case (CDLoop.product), so
 ProductElement is the library's only element type and pmul, pinv,
@@ -270,23 +270,26 @@ def coset_twist_matrix(A: CentralProduct) -> np.ndarray:
     return _kronecker_sum(A.twist_tables(), A.z.order)
 
 
-def _coset_commutator_matrix(A: CentralProduct) -> np.ndarray:
-    """Commutator exponents t(c1, c2) - t(c2, c1) mod |Z| over coset pairs: the
-    Kronecker sum of the factor tables t_i - t_i.T mod |Z|."""
-    order = A.z.order
-    tables = [add_exponents(t, order - t.T, order) for t in A.twist_tables()]
-    return _kronecker_sum(tables, order)
-
-
 def _kronecker_sum(tables: list[np.ndarray], order: int) -> np.ndarray:
     """sum_i tables[i][e_i, f_i] mod |Z| over combined masks, factor 1 in the low
-    n bits, reduced after every factor; one table is returned as it is.  Each
-    new grid is filled one outer row at a time, so temporaries stay row-sized."""
+    n bits, reduced after every factor; one table is returned as it is."""
     total = tables[0]
     for table in tables[1:]:
         outer, inner = len(table), len(total)
         grid = np.empty((outer, inner, outer, inner), dtype=total.dtype)
-        for i, row in enumerate(table):
-            add_exponents(row[None, :, None], total[:, None, :], order, out=grid[i])
+        for _ in _kronecker_bands(table, total, order, grid):
+            pass
         total = grid.reshape(outer * inner, outer * inner)
     return total
+
+
+def _kronecker_bands(table: np.ndarray, total: np.ndarray, order: int, grid=None):
+    """table[e, f] + total[r, s] mod |Z| (table in the high bits) in bands of
+    rows r, each within 2**17 cells where it can be (powers of 2 tile exactly):
+    grid[:, r0:r1] when a grid is given, else one reused, cache-sized buffer."""
+    outer, inner = len(table), len(total)
+    rows = min(inner, max(1, (1 << 17) // (outer * outer * inner)))
+    band = np.empty((outer, rows, outer, inner), dtype=total.dtype)
+    for r in range(0, inner, rows):
+        out = band if grid is None else grid[:, r : r + rows]
+        yield add_exponents(table[:, None, :, None], total[r : r + rows, None, :], order, out=out)

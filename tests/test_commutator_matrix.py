@@ -1,10 +1,11 @@
 """The commutator surveys against the twist-matrix formula they replaced.
 
-commutativity_degree_brute, commutant_coset_sizes and commutator_exponent_image
-read C[c1, c2] = t(c1, c2) - t(c2, c1) mod |Z|, built as the Kronecker sum of
-the factors' commutator tables.  The oracles are that formula taken over the
-coset twist matrix T, (T + (|Z| - T.T)) % |Z|, the surveys' former counts
-over T == T.T, and pcommutator on elements.
+commutativity_degree_brute counts the zeros of C[c1, c2] = t(c1, c2) -
+t(c2, c1) mod |Z|, the Kronecker sum of the factors' commutator tables, band
+by band; commutant_coset_sizes and commutator_exponent_image fold the
+factors' commutator tables one at a time.  The oracles are that formula
+taken over the coset twist matrix T, (T + (|Z| - T.T)) % |Z|, the surveys'
+former counts over T == T.T, and pcommutator on elements.
 """
 
 import random
@@ -34,7 +35,8 @@ from cdloops import (
     rank_census_brute,
 )
 from cdloops.cdloop import twist_dtype
-from cdloops.central_product import _coset_commutator_matrix
+from cdloops.analytics import _factor_commutators
+from cdloops.central_product import _kronecker_sum
 
 ORDERS = (2, 4, 6, 2**64 + 2)
 SHAPES = ((1, 1), (1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
@@ -66,7 +68,7 @@ def surveys_over_twists(A):
 @pytest.mark.parametrize("m, n", SHAPES)
 def test_commutator_matrix_equals_the_twist_matrix_formula(order, m, n):
     A = random_product(random.Random(f"{order}:{m}:{n}"), order, m, n)
-    C = _coset_commutator_matrix(A)
+    C = _kronecker_sum(_factor_commutators(A), order)
     want = commutators_over_twists(A)
     assert C.dtype == want.dtype == twist_dtype(order)
     assert C.shape == want.shape == (A.coset_count, A.coset_count)
@@ -78,7 +80,7 @@ def test_commutator_matrix_equals_the_twist_matrix_formula(order, m, n):
 def test_commutator_matrix_equals_pcommutator_on_sampled_pairs(order, m, n):
     rng = random.Random(f"pairs:{order}:{m}:{n}")
     A = random_product(rng, order, m, n)
-    C = _coset_commutator_matrix(A)
+    C = commutators_over_twists(A)
     for _ in range(40):
         x, y = (A.element_at(rng.randrange(A.order)) for _ in range(2))
         c = A.pcommutator(x, y)
@@ -129,7 +131,7 @@ def test_every_survey_at_depth_zero_and_one(order, m, n):
     if n:
         assert commutativity_degree_closed(m, n, order).degree == 1
     else:  # one coset: sizes [1], and the 1 x 1 tables are read-only
-        assert _coset_commutator_matrix(A).tolist() == [[0]]
+        assert commutators_over_twists(A).tolist() == [[0]]
     # the surveys work on copies: the cached tables are unchanged
     assert all(np.array_equal(t, c) for t, c in zip(A.twist_tables(), cached))
 

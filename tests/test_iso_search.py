@@ -243,6 +243,21 @@ def test_ladder_equals_the_reference_greedy_ladder(dims):
         assert 2 ** len(fresh._word_program) <= loop.size
 
 
+def test_the_first_level_does_not_close_involutions(monkeypatch):
+    # {e, g} for an involution g is the least closure, so once a candidate is
+    # held the first level skips them: 66 of the 153 closures on this loop
+    rng = random.Random("ladder-(2, 3, 2)")
+    loop = fixed_zero_relabel(to_table(random_product(rng, 2, 3, 2)), rng)
+    involutions = sum(int(loop.table[g, g]) == loop.identity for g in range(loop.size)) - 1
+    want = reference_ladder(loop)
+    calls = []
+    close = AbstractLoop._close
+    monkeypatch.setattr(AbstractLoop, "_close", lambda self, inside: calls.append(1) or close(self, inside))
+    fresh = AbstractLoop(loop.table, validate=False)
+    assert [s.g for s in fresh._word_program] == want
+    assert involutions == 67 and len(calls) == 153 - 66
+
+
 def cd_table(z_order: int, gammas) -> AbstractLoop:
     z = make_scalar_group(z_order)
     return to_table(CDLoop(z, tuple(z.scalar(g) for g in gammas)))

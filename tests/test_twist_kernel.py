@@ -103,6 +103,16 @@ def test_coset_twist_matrix_equals_pmul_over_all_coset_pairs(order, m):
 
 
 @pytest.mark.parametrize("order", (2, 6, 130))
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 6), (4, 2), (3, 4)])
+def test_coset_twist_matrix_equals_the_factor_sum_in_several_bands(order, m, n):
+    # these shapes fill the last Kronecker level in 2, 64, 1 and 128 bands
+    A = make_product(make_scalar_group(order), [random_loop(random.Random(order + n), order, n)] * m)
+    masks = A._split_masks(np.arange(A.coset_count))
+    want = sum(t.astype(np.int64)[np.ix_(masks[:, i], masks[:, i])] for i, t in enumerate(A.twist_tables()))
+    assert np.array_equal(coset_twist_matrix(A), want % order)
+
+
+@pytest.mark.parametrize("order", (2, 6, 130))
 def test_a_one_factor_coset_twist_matrix_is_the_cached_factor_table(order):
     # No copy is made: every caller only reads the matrix, so a one-factor
     # product hands back the factor's read-only table itself.
