@@ -16,6 +16,7 @@ numpy passes per node.
 from __future__ import annotations
 
 import random
+import re
 from functools import cached_property
 from typing import NamedTuple
 
@@ -76,14 +77,18 @@ class AbstractLoop:
     # -- validation ------------------------------------------------------------
 
     def _validate_latin(self) -> None:
-        # A line is a permutation iff it sorts to 0..N-1: sort blocks of rows,
-        # then of columns copied row-major, in the table dtype.
+        # A line is a permutation iff it sorts to 0..N-1: sort bands of rows,
+        # then of columns, copied into one buffer 256 cells of each line at a
+        # time (a whole band of columns at a power-of-two stride thrashes the cache).
         arr, n = self.table, self.size
         expected = np.arange(n, dtype=arr.dtype)
         rows = max(1, _GATHER_CELLS // n)
+        buf = np.empty((min(rows, n), n), dtype=arr.dtype)
         for name, lines in (("row", arr), ("column", arr.T)):
             for r in range(0, n, rows):
-                block = lines[r : r + rows].copy()
+                block = buf[: min(rows, n - r)]
+                for c in range(0, n, 256):
+                    block[:, c : c + 256] = lines[r : r + rows, c : c + 256]
                 block.sort(axis=1)
                 bad = np.flatnonzero((block != expected).any(axis=1))
                 if bad.size:
@@ -437,15 +442,15 @@ def to_table(obj: CDLoop | CentralProduct, max_elements: int | None = None) -> A
 
 # -- loop-table v1 interchange format -----------------------------------------------
 
-# Bytes of text decoded per pass of parse_loop_table (blocks are whole rows),
+# Bytes of text decoded per pass of parse_loop_table (blocks are whole lines),
 # and the rough output size of one serialize_loop_table pass.
-_CODEC_BLOCK_BYTES = 1 << 19
+_CODEC_BLOCK_BYTES = 1 << 17
 # Digits an entry may carry in the block decoder, which sums them in the
 # narrowest exact unsigned dtype; rows with a longer entry are read one by one.
 _MAX_DIGITS = 18
 
-# ASCII byte classes as str.split and str.splitlines see them, and the block
-# decoder's bytes.translate tables: byte -> class, byte -> digit value or 0.
+# ASCII byte classes as str.split and str.splitlines see them: the block
+# decoder's bytes.translate table, a text's first non-blank line, a line break.
 _OTHER, _SPACE, _BREAK, _DIGIT = range(4)
 _SPACES, _BREAKS = "\t\x1f ", "\n\r\x0b\x0c\x1c\x1d\x1e"
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
@@ -453,7 +458,8 @@ _BYTE_CLASS[[ord(c) for c in _SPACES]] = _SPACE
 _BYTE_CLASS[[ord(c) for c in _BREAKS]] = _BREAK
 _BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
 _CLASS_OF = _BYTE_CLASS.tobytes()
-_DIGIT_OF = bytes(c - ord("0") if k == _DIGIT else 0 for c, k in enumerate(_BYTE_CLASS))
+_FIRST_LINE = re.compile(f"[{_SPACES}]*[^{_SPACES}{_BREAKS}][^{_BREAKS}]*")
+_LINE_BREAK = re.compile(f"[{_BREAKS}]".encode())
 
 
 def serialize_loop_table(loop: AbstractLoop) -> str:
@@ -486,27 +492,22 @@ def serialize_loop_table(loop: AbstractLoop) -> str:
 def parse_loop_table(text: str, max_elements: int | None = None) -> AbstractLoop:
     """Parse the loop-table v1 format and normalize the identity to index 0.
 
-    The text is split into lines once, and blank lines are dropped.  The N^2
-    cells named by the header are charged against the enumeration budget
-    before any row is read.  ASCII rows are decoded in blocks of whole rows
-    of about 512 KiB, through byte-translate tables and one gather per
-    decimal place, straight into the N x N table.  Rows the decoder refuses,
-    and non-ASCII text, are read one at a time, which reports the first
-    defect or, if there is none, builds the table.
+    The header is the first non-blank line; the N^2 cells it names are
+    charged against the budget before any row is read.  ASCII text is
+    encoded once and its body decoded by _decode_body into the N x N table.
+    Non-ASCII text, and a body _decode_body refuses, go to the line reader,
+    which reads the non-blank lines in order and reports the first defect.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    head = _FIRST_LINE.search(text) if text.isascii() else None
+    lines = None if head else [line for line in text.splitlines() if line.strip()]
+    if not (head or lines):
         raise TableFormatError("empty input")
-    n = _read_header(lines[0], max_elements)
-    rows = lines[1:]
-    if len(rows) != n:
-        raise TableFormatError(f"expected {n} rows after the header, got {len(rows)}")
-    # A row of n entries holds at least 2n - 1 characters: a body with a
-    # shorter row cannot fill the table, so none is allocated for it.
-    table = None
-    if text.isascii() and min(map(len, rows)) >= 2 * n - 1:
-        table = _decode_rows(rows, n)
+    n = _read_header(head.group() if head else lines[0], max_elements)
+    table = _decode_body(text.encode("ascii"), head.end(), n) if head else None
     if table is None:
+        rows = (lines or [line for line in text.splitlines() if line.strip()])[1:]
+        if len(rows) != n:
+            raise TableFormatError(f"expected {n} rows after the header, got {len(rows)}")
         table = np.vstack([_read_row(i, row, n) for i, row in enumerate(rows)])
         if not text.isascii():
             raise TableFormatError("table has non-ASCII whitespace or line breaks")
@@ -532,23 +533,35 @@ def _read_header(line: str, max_elements: int | None) -> int:
     return n
 
 
-def _decode_rows(rows: list[str], n: int) -> np.ndarray | None:
-    """The n x n table in n ASCII rows, or None where the block decoder
-    refuses a block: runs of whole rows of about _CODEC_BLOCK_BYTES, so a
-    block holds at most that much text plus one row."""
+def _decode_body(data: bytes, start: int, n: int) -> np.ndarray | None:
+    """The n x n table in the ASCII lines of data[start:], or None for the
+    line reader: a row count other than n, an entry past N - 1 or a defect.
+    Blocks end at the first line break past _CODEC_BLOCK_BYTES bytes; only
+    the lines of a block _decode_block refuses go to _read_row."""
+    # A row holds at least 2n - 1 bytes: no table is allocated for less.
+    if len(data) - start < n * (2 * n - 1):
+        return None
     out = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
-    start = 0
-    while start < n:
-        stop, size = start + 1, len(rows[start])
-        while stop < n and size < _CODEC_BLOCK_BYTES:
-            size += len(rows[stop]) + 1
-            stop += 1
-        values = _decode_block("\n".join(rows[start:stop]).encode("ascii"), n)
-        # An entry past N - 1 would wrap in out: the row reader reports it.
-        if values is None or values.max(initial=0) >= n:
+    row = 0
+    while start < len(data):
+        cut = _LINE_BREAK.search(data, start + _CODEC_BLOCK_BYTES)
+        block = data[start : cut.end() if cut else len(data)]
+        start += len(block)
+        values = _decode_block(block, n)
+        if values is None:
+            lines = [line for line in str(block, "ascii").splitlines() if line.strip()]
+            try:
+                values = np.concatenate([_read_row(i, line, n) for i, line in enumerate(lines, row)])
+            except TableFormatError:
+                return None
+        rows = values.reshape(-1, n)
+        # An entry past N - 1 would wrap in out.
+        if row + len(rows) > n or values.max(initial=0) >= n:
             return None
-        out[start:stop] = values.reshape(stop - start, n)
-        start = stop
+        out[row : row + len(rows)] = rows
+        row += len(rows)
+    if row != n:
+        return None
     out.flags.writeable = False
     return out
 
@@ -556,38 +569,35 @@ def _decode_rows(rows: list[str], n: int) -> np.ndarray | None:
 def _decode_block(data: bytes, n: int) -> np.ndarray | None:
     """The entries of whole body lines in order, or None if a byte is not a
     digit or whitespace, a non-blank line does not hold n entries, or an
-    entry has more than _MAX_DIGITS digits.  The digit values get a zero
-    byte in front; place p of an entry is read p bytes before its last digit
-    but not before its separator (or that byte), which reads as 0."""
+    entry has more than _MAX_DIGITS digits.  An entry is read two digits a
+    gather, from pair[i + 1] = 10 d[i - 1] + d[i] at a digit byte i (d the
+    digit values, 0 off digits) and 0 at any other byte: at its last digit,
+    then every second byte back, clamped to the byte before its first digit."""
     cls = np.frombuffer(data.translate(_CLASS_OF), dtype=np.uint8)
-    if not cls.all():
-        return None
-    bounds = np.flatnonzero(np.diff(cls >= _DIGIT, prepend=False, append=False))
+    digit = cls == _DIGIT
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
     starts, ends = bounds[::2], bounds[1::2]
     line_ends = np.searchsorted(starts, np.flatnonzero(cls == _BREAK))
     per_line = np.diff(line_ends, prepend=0, append=starts.size)
-    if ((per_line != 0) & (per_line != n)).any():
-        return None
     width = int((ends - starts).max(initial=0))
-    if width > _MAX_DIGITS:
+    if not cls.all() or ((per_line != 0) & (per_line != n)).any() or width > _MAX_DIGITS:
         return None
-    digit = np.frombuffer(b"\0" + data.translate(_DIGIT_OF), dtype=np.uint8)
+    d = (np.frombuffer(data, dtype=np.uint8) - np.uint8(ord("0"))) * digit
+    pair = np.append(np.uint8(0), d)
+    pair[2:] += d[:-1] * np.uint8(10) * digit[1:]
     dtype = np.min_scalar_type(10**width - 1)
-    values = digit[ends].astype(dtype)
+    values = pair[ends].astype(dtype)
     pos = ends.copy()
-    for p in range(1, width):
-        pos -= 1
+    for k in range(1, (width + 1) // 2):
+        pos -= 2
         np.maximum(pos, starts, out=pos)
-        values += np.multiply(digit[pos], dtype.type(10**p), dtype=dtype)
+        values += np.multiply(pair[pos], dtype.type(100**k), dtype=dtype)
     return values
 
 
 def _read_row(i: int, line: str, n: int) -> np.ndarray:
-    """Row i's n entries as int64, or the error for its first defect.
-
-    Reads what the block decoder refuses: a defect, non-ASCII text, or an
-    entry of more than _MAX_DIGITS digits, leading zeros included.
-    """
+    """Row i's n entries as int64, or the error for its first defect; reads
+    entries of any length, past _MAX_DIGITS digits too, and non-ASCII text."""
     parts = line.split()
     if len(parts) != n:
         raise TableFormatError(f"row {i} has {len(parts)} entries, expected {n}")

@@ -463,6 +463,39 @@ def test_latin_check_names_the_first_bad_line_past_the_first_block():
             AbstractLoop(arr)
 
 
+def set_latin_defect(table: list[list[int]]) -> str | None:
+    """Test-only oracle in pure Python: the first row, else the first column,
+    whose entries do not form the set {0..N-1}."""
+    n = len(table)
+    everything = set(range(n))
+    for name, lines in (("row", table), ("column", zip(*table))):
+        for i, line in enumerate(lines):
+            if set(line) != everything:
+                return f"{name} {i} is not a permutation of 0..{n - 1}"
+    return None
+
+
+@pytest.mark.parametrize("n", [200, 256, 300, 1001, 1024])
+def test_latin_check_agrees_with_a_set_oracle_on_single_cell_defects(n):
+    # uint8 tables at 200 and 256 elements, uint16 above.  Bands are 65536 // N
+    # lines and column bands are transposed 256 rows at a time: 300 and 1001
+    # are multiples of neither.  A changed cell breaks its row; a swap within
+    # a row breaks two columns only.
+    rng = random.Random(n)
+    perm = np.array(rng.sample(range(n), n))
+    base = perm[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n].astype(np.min_scalar_type(n - 1))
+    for i, j, k in [(n - 1, n - 1, n - 2)] + [(rng.randrange(n), *rng.sample(range(n), 2)) for _ in range(3)]:
+        for swap in (False, True):
+            arr = base.copy()
+            if swap:
+                arr[i, j], arr[i, k] = arr[i, k], arr[i, j]
+            else:
+                arr[i, j] = arr[i, k]
+            want = set_latin_defect(arr.tolist())
+            assert want == (f"column {min(j, k)}" if swap else f"row {i}") + f" is not a permutation of 0..{n - 1}"
+            with pytest.raises(TableFormatError, match=f"^{want}$"):
+                AbstractLoop(arr)
+
 @pytest.mark.parametrize(
     "table, dtype",
     [

@@ -115,11 +115,17 @@ def test_byte_classes_match_str_split_and_splitlines():
         assert (kind == abstract_loop._BREAK) == (len(f"a{c}b".splitlines()) == 2), repr(c)
         assert (kind == abstract_loop._SPACE) == (c.isspace() and kind != abstract_loop._BREAK)
         assert (kind == abstract_loop._DIGIT) == (c in "0123456789")
-    # The decoder's translate tables are these classes, and the digit values.
+    # The decoder's translate table is these classes, and a byte in front of
+    # a 5 reads as its digit value times 10, as whitespace that adds 0, or
+    # else refuses the block.
     for code in range(256):
-        digit = abstract_loop._BYTE_CLASS[code] == abstract_loop._DIGIT
-        assert abstract_loop._CLASS_OF[code] == abstract_loop._BYTE_CLASS[code]
-        assert abstract_loop._DIGIT_OF[code] == (int(chr(code)) if digit else 0)
+        kind = abstract_loop._BYTE_CLASS[code]
+        assert abstract_loop._CLASS_OF[code] == kind
+        values = abstract_loop._decode_block(bytes([code]) + b"5", 1)
+        if kind == abstract_loop._OTHER:
+            assert values is None
+        else:
+            assert values.tolist() == [10 * int(chr(code)) + 5 if kind == abstract_loop._DIGIT else 5]
 
 
 def table_text(cells, sep=" ", eol="\n", final=True) -> str:
@@ -151,7 +157,7 @@ def test_the_block_decoder_reads_what_the_line_reader_reads(case):
     rows = text.splitlines()[1:]
     want = np.vstack([abstract_loop._read_row(i, row, 8) for i, row in enumerate(rows)])
     assert np.array_equal(values, want.ravel())
-    assert np.array_equal(abstract_loop._decode_rows(rows, 8), want)
+    assert np.array_equal(abstract_loop._decode_body(text.encode(), text.index("\n"), 8), want)
     assert values.dtype == (np.uint64 if "18-digit" in case else np.uint8)
 
 

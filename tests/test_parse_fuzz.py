@@ -23,6 +23,7 @@ from cdloops import abstract_loop
 from cdloops import (
     AbstractLoop,
     CDLoop,
+    make_product,
     make_scalar_group,
     parse_loop_table,
     random_relabel,
@@ -222,6 +223,119 @@ def test_tiny_decoding_blocks_give_the_same_result(monkeypatch, block_bytes):
     want = [outcome(reference_parse, text) for text in texts]
     monkeypatch.setattr(abstract_loop, "_CODEC_BLOCK_BYTES", block_bytes)
     assert [outcome(parse_loop_table, text) for text in texts] == want
+
+
+
+@pytest.mark.parametrize("blank", ["\n", " \t\n", "\r\n\r\n", "\x1f\x0b \x0c", "\x1c\x1d\x1e", "\n\r  \n\t"])
+def test_blank_lines_before_the_header_parse_as_the_reference_does(blank):
+    assert_agrees_with_reference(blank + Q8_TEXT)
+    assert parse_loop_table(blank + Q8_TEXT) == Q8_LOOP
+    assert_agrees_with_reference(blank + "loop-table v1 x\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["loop-table v1 1", "loop-table v1 8", " loop-table v1 1 \t", "\nloop-table v1 1\r\n", "loop-table v1 2\n \n\t"],
+)
+def test_a_header_followed_by_end_of_text_parses_as_the_reference_does(text):
+    assert_agrees_with_reference(text)
+
+
+Q16_LOOP = to_table(CDLoop.all_minus_one(make_scalar_group(2), 3))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 64])
+@pytest.mark.parametrize("eol", list(abstract_loop._BREAKS) + ["\r\n"])
+def test_each_line_break_cuts_blocks_as_the_reference_reads_it(monkeypatch, block_bytes, eol):
+    # Only eol breaks lines, so every block but the last ends at one of them.
+    shuffled, _ = random_relabel(Q16_LOOP, random.Random(block_bytes))
+    text = serialize_loop_table(shuffled).replace("\n", eol)
+    want = outcome(reference_parse, text)
+    monkeypatch.setattr(abstract_loop, "_CODEC_BLOCK_BYTES", block_bytes)
+    assert outcome(parse_loop_table, text) == want
+    assert outcome(parse_loop_table, text.replace(" 3 ", " x ", 1)) == outcome(
+        reference_parse, text.replace(" 3 ", " x ", 1)
+    )
+
+
+def padded_row(text: str, row: int, token: str | None = None) -> str:
+    """text with the first entry of body row `row` zero-padded to 20 digits,
+    or replaced by token."""
+    head, *rows = text.split("\n")
+    first, rest = rows[row].split(" ", 1)
+    rows[row] = (token or f"{int(first):020d}") + " " + rest
+    return "\n".join([head, *rows])
+
+
+def read_rows(monkeypatch) -> list[int]:
+    """The rows the row reader is asked for, in order, from now on."""
+    calls = []
+    read_row = abstract_loop._read_row
+
+    def counting(i, line, n):
+        calls.append(i)
+        return read_row(i, line, n)
+
+    monkeypatch.setattr(abstract_loop, "_read_row", counting)
+    return calls
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 64, None])
+@pytest.mark.parametrize("row", [0, 7, 15])
+def test_a_refused_block_between_accepted_ones_reads_only_its_own_rows(monkeypatch, block_bytes, row):
+    shuffled, _ = random_relabel(Q16_LOOP, random.Random(row))
+    text = serialize_loop_table(shuffled)
+    if block_bytes is not None:
+        monkeypatch.setattr(abstract_loop, "_CODEC_BLOCK_BYTES", block_bytes)
+    cases = {
+        "padded": padded_row(text, row),
+        "padded, then a sign": padded_row(padded_row(text, row), (row + 9) % 16, "-1"),
+        "a sign, then padded": padded_row(padded_row(text, row), (row + 3) % 16, "x"),
+        "padded, one row short": padded_row(text, row).replace(text.split("\n")[1 + (row + 1) % 16] + "\n", ""),
+        "padded, one row over": padded_row(text, row) + text.split("\n")[1],
+        "padded past N - 1": padded_row(text, row, "0" * 18 + "16"),
+        "padded, then past N - 1": padded_row(padded_row(text, row), (row + 5) % 16, "16"),
+    }
+    want = {name: outcome(reference_parse, case) for name, case in cases.items()}
+    calls = read_rows(monkeypatch)
+    assert outcome(parse_loop_table, cases["padded"]) == want["padded"]
+    assert want["padded"] == parse_loop_table(text).table.tolist()
+    # The row reader gets the refused block's rows, in order: at one byte a
+    # block is one line, and a 16-element body is one default block.
+    assert row in calls and calls == list(range(calls[0], calls[0] + len(calls)))
+    assert calls == {1: [row], None: list(range(16))}.get(block_bytes, calls)
+    for name, case in cases.items():
+        assert outcome(parse_loop_table, case) == want[name], name
+
+
+@pytest.mark.parametrize("row", [0, 511, 1023])
+def test_a_refused_block_in_a_1024_element_table_reads_only_its_own_rows(monkeypatch, row):
+    loop = to_table(make_product(make_scalar_group(4), [CDLoop.all_minus_one(make_scalar_group(4), 4)] * 2))
+    text = padded_row(serialize_loop_table(loop), row)
+    calls = read_rows(monkeypatch)
+    assert parse_loop_table(text) == loop
+    # A default block holds about 30 rows of this table; the row reader
+    # gets those of the refused one, in order.
+    assert row in calls and len(calls) < 64
+    assert calls == list(range(calls[0], calls[0] + len(calls)))
+
+
+@pytest.mark.parametrize("width", range(1, 19))
+def test_digit_pairs_decode_every_width_as_the_reference_does(width):
+    # Entry (i, j) of a relabelled 16-element table, zero-padded to width
+    # digits in odd columns and to 1 + (i + j) % width in even ones.
+    shuffled, _ = random_relabel(Q16_LOOP, random.Random(width))
+    rows = [
+        " ".join(f"{v:0{width if j % 2 else 1 + (i + j) % width}d}" for j, v in enumerate(row))
+        for i, row in enumerate(shuffled.table.tolist())
+    ]
+    text = "loop-table v1 16\n" + "\n".join(rows) + "\n"
+    assert_agrees_with_reference(text)
+    assert parse_loop_table(text) == parse_loop_table(serialize_loop_table(shuffled))
+    entries = ["9" * width, "1" + "0" * (width - 1), "123456789012345678"[:width], "987654321098765432"[-width:]]
+    values = abstract_loop._decode_block((" ".join(entries) + "\n").encode(), len(entries))
+    assert values.dtype == np.min_scalar_type(10**width - 1)
+    assert values.tolist() == [int(e) for e in entries]
 
 
 def run_import(data: bytes) -> tuple[int, str]:
