@@ -32,7 +32,8 @@ MAX_ISO_SIZE = 256
 
 # Cells of a level's new x S block checked before the rest (see find_isomorphism).
 _PROBE_CELLS = 32
-# Cells per take in relabel: take copies a narrow index array to intp first.
+# Cells per band of take gathers in relabel, subloop, the nucleus check and the
+# signature count, and of the Latin check's sorts: take copies an index to intp first.
 _GATHER_CELLS = 1 << 16
 
 
@@ -79,7 +80,8 @@ class AbstractLoop:
     def _validate_latin(self) -> None:
         # A line is a permutation iff it sorts to 0..N-1: sort bands of rows,
         # then of columns, copied into one buffer 256 cells of each line at a
-        # time (a whole band of columns at a power-of-two stride thrashes the cache).
+        # time (a whole band of columns at a power-of-two stride thrashes the cache);
+        # uint8 bands sort fastest by radix (kind="stable"), wider ones by the default.
         arr, n = self.table, self.size
         expected = np.arange(n, dtype=arr.dtype)
         rows = max(1, _GATHER_CELLS // n)
@@ -89,7 +91,7 @@ class AbstractLoop:
                 block = buf[: min(rows, n - r)]
                 for c in range(0, n, 256):
                     block[:, c : c + 256] = lines[r : r + rows, c : c + 256]
-                block.sort(axis=1)
+                block.sort(axis=1, kind="stable" if arr.dtype == np.uint8 else None)
                 bad = np.flatnonzero((block != expected).any(axis=1))
                 if bad.size:
                     raise TableFormatError(
@@ -177,13 +179,16 @@ class AbstractLoop:
         return np.flatnonzero(central).tolist()
 
     def _nuclear(self, x: int) -> bool:
-        """The left and middle nucleus laws for x, over all pairs a, b."""
-        arr = self.table
+        """The nucleus laws (xa)b = x(ab) and (xa)b = a(xb), a band of rows a at a time."""
+        arr, n = self.table, self.size
         fx = arr[x]
-        xa_b = arr[fx]
-        if not np.array_equal(xa_b, fx[arr]):
-            return False
-        return np.array_equal(xa_b, np.take(arr, fx, axis=1))
+        rows = max(1, _GATHER_CELLS // n)
+        for lo in range(0, n, rows):
+            band = arr[lo : lo + rows]
+            xa_b = arr.take(fx[lo : lo + rows], axis=0)
+            if (xa_b != fx.take(band)).any() or (xa_b != band.take(fx, axis=1)).any():
+                return False
+        return True
 
     def closure(self, seed) -> set[int]:
         """Smallest subset containing the identity and seed, closed under mul."""
@@ -287,16 +292,21 @@ class AbstractLoop:
 
     @cached_property
     def _signatures(self) -> list[tuple[int, int, int]]:
-        # A central c is nuclear, so ((xc)a)b = ((xa)b)c and (xc)(ab) = (x(ab))c:
-        # x and xc associate with the same pairs, counted once per coset of Z(L),
-        # for a block of coset representatives x at a time.
-        arr = self.table
+        # A central c is nuclear: ((xc)a)b = ((xa)b)c, (xc)(ab) = (x(ab))c, (x(ac))b =
+        # ((xa)b)c and x((ac)b) = (x(ab))c, likewise for b -> bc, and y -> yc is a
+        # bijection, so x associates with (a, b) iff xc does, iff (ac, b) and (a, bc) do.
+        # A coset's count is |Z|^2 times its count over pairs of coset representatives
+        # of Z(L): R^3 cells (R = N/|Z|), for a band of representatives x at a time.
+        arr, z = self.table, len(self._center)
         reps, coset = np.unique(arr[:, self._center].min(axis=1), return_inverse=True)
+        by_reps = arr.take(reps, axis=1)  # u * b for every u and representative b
+        ab = by_reps.take(reps, axis=0).astype(np.intp)
         assoc = np.empty(reps.size, dtype=np.int64)
-        block = max(1, _BLOCK_CELLS // self.size**2)
-        for lo in range(0, reps.size, block):
-            xa = arr[reps[lo : lo + block]]
-            assoc[lo : lo + block] = (arr[xa] == xa[:, arr]).sum(axis=(1, 2))
+        band = max(1, _GATHER_CELLS // reps.size**2)
+        for lo in range(0, reps.size, band):
+            xs = arr.take(reps[lo : lo + band], axis=0)
+            same = by_reps.take(xs.take(reps, axis=1), axis=0) == xs.take(ab, axis=1)
+            assoc[lo : lo + band] = z * z * np.count_nonzero(same.reshape(len(xs), -1), axis=1)
         return list(zip(self.element_orders(), self.commutant_sizes(), assoc[coset].tolist()))
 
     @cached_property
@@ -643,7 +653,7 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     """Search for an isomorphism left -> right; returns the index map or None.
 
     Elements are classed by (left-power order, commutant size, count of
-    associating pairs); the count is taken once per coset of the center.
+    associating pairs); the count runs once per pair of cosets of the center, times |Z|^2.
     The search walks left's word program one ladder generator g at a time,
     depth first.  At each node, every right element in g's class is tried
     as g's image at once: the level's words give the images of everything g

@@ -182,6 +182,42 @@ def test_center_runs_one_full_check_per_generator(monkeypatch):
     assert checks(direct_product(LEFT_ONLY, z2)) == 3
 
 
+def law_breaking_rows(loop: AbstractLoop, x: int) -> list[int]:
+    """Test-only oracle: the rows a with (xa)b != x(ab) or (xa)b != a(xb)
+    for some b, over the whole table at once."""
+    arr = loop.table.astype(np.int64)
+    fx = arr[x]
+    broken = (arr[fx] != fx[arr]) | (arr[fx] != arr[:, fx])
+    return np.flatnonzero(broken.any(axis=1)).tolist()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_nucleus_check_in_uneven_bands_matches_the_oracles(monkeypatch, rows):
+    # _nuclear checks `rows` rows a band.  LEFT_ONLY's 1 and 2 break the laws
+    # only in rows 3..5, at three rows a band the last band alone.  The other
+    # tables run several bands, most of them ending in a short one.
+    assert law_breaking_rows(AbstractLoop(LEFT_ONLY), 1) == [3, 4, 5]
+    z2, z3 = [[0, 1], [1, 0]], [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    loops = [
+        AbstractLoop(LEFT_ONLY),
+        direct_product(LEFT_ONLY, z2),
+        direct_product(z2, LEFT_ONLY),
+        direct_product(LEFT_ONLY, z3),
+    ]
+    rng = random.Random(rows)
+    for k in (2, 4, 6):
+        z = make_scalar_group(k)
+        factors = [CDLoop(z, tuple(z.scalar(rng.randrange(k)) for _ in range(2))) for _ in range(2)]
+        loops.append(to_table(make_product(z, factors)))
+    loops += [relabelled_off_zero(loop, rng) for loop in loops]
+    for loop in loops:
+        monkeypatch.setattr(abstract_loop, "_GATHER_CELLS", rows * loop.size)
+        fresh = AbstractLoop(loop.table, validate=False)  # nothing cached
+        for x in np.flatnonzero(np.array(fresh.commutant_sizes()) == fresh.size):
+            assert fresh._nuclear(x) == (not law_breaking_rows(fresh, x))
+        assert fresh.center() == three_law_center(fresh)
+
+
 def test_element_orders_distinguish_gamma_signs():
     # all minus: six elements of order 4; one +1 gamma: only two
     assert sorted(Q8.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
@@ -495,6 +531,25 @@ def test_latin_check_agrees_with_a_set_oracle_on_single_cell_defects(n):
             assert want == (f"column {min(j, k)}" if swap else f"row {i}") + f" is not a permutation of 0..{n - 1}"
             with pytest.raises(TableFormatError, match=f"^{want}$"):
                 AbstractLoop(arr)
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["full-bands", "uneven-bands"])
+@pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_latin_check_names_last_row_defects_alike_in_uint8_and_uint16(monkeypatch, rows, n, dtype):
+    # uint8 bands sort by radix, uint16 ones by the default sort; at three
+    # rows a band both sizes end in a short band.
+    if rows:
+        monkeypatch.setattr(abstract_loop, "_GATHER_CELLS", rows * n)
+    index = np.arange(n)
+    base = ((index[:, None] + index[None, :]) % n).astype(dtype)
+    duplicate, swapped = base.copy(), base.copy()
+    duplicate[n - 1, n - 1] = duplicate[n - 1, 0]
+    swapped[n - 1, [n - 2, n - 1]] = swapped[n - 1, [n - 1, n - 2]]
+    for arr, line in ((duplicate, f"row {n - 1}"), (swapped, f"column {n - 2}")):
+        with pytest.raises(TableFormatError, match=f"^{line} is not a permutation of 0..{n - 1}$"):
+            AbstractLoop(arr)
+    assert AbstractLoop(base).table.dtype == dtype
+
 
 @pytest.mark.parametrize(
     "table, dtype",

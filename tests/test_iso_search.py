@@ -23,6 +23,7 @@ from cdloops import (
 )
 from cdloops import abstract_loop
 from cdloops.errors import BudgetExceeded
+from test_abstract_loop import LEFT_ONLY, Q8, direct_product as table_product
 
 Z2 = make_scalar_group(2)
 
@@ -309,6 +310,12 @@ ORDER_5 = AbstractLoop(
 )
 
 
+# Products of at most 256 elements as (|Z|, m, n), and tables off Cayley-Dickson
+# loops with centers from the identity alone (LEFT_ONLY) to the whole loop (Z2^3).
+SIGNATURE_SHAPES = [(2, 2, 3), (2, 1, 7), (4, 2, 3), (6, 2, 2), (6, 1, 5), (8, 2, 2), (8, 1, 5)]
+Z2_TABLE = [[0, 1], [1, 0]]
+
+
 @pytest.mark.parametrize(
     "loop, center_size",
     [
@@ -317,10 +324,20 @@ ORDER_5 = AbstractLoop(
         (cd_table(8, (5, 2, 7)), 8),
         (to_table(random_product(random.Random(23), 2, 3, 4)), 4),
         (ORDER_5, 1),
+        *[(to_table(random_product(random.Random(k * m * n), m, n, k)), k) for k, m, n in SIGNATURE_SHAPES],
+        (AbstractLoop(LEFT_ONLY), 1),
+        (table_product(LEFT_ONLY, Z2_TABLE), 2),
+        (table_product(Z2_TABLE, table_product(LEFT_ONLY, Z2_TABLE).table), 4),
+        (table_product(table_product(Z2_TABLE, Z2_TABLE).table, Z2_TABLE), 8),
+        (Q8, 2),
     ],
-    ids=["z2", "z4", "z8", "m2-product", "trivial-center"],
+    ids=["z2", "z4", "z8", "m2-product", "trivial-center"]
+    + [f"z{k}-m{m}-n{n}" for k, m, n in SIGNATURE_SHAPES]
+    + ["left-only", "left-only-x-z2", "z2-x-left-only-x-z2", "z2-cubed", "q8"],
 )
 def test_signatures_equal_the_per_element_oracle(loop, center_size):
+    # The associating count runs over pairs of cosets of the center, times
+    # |Z|^2; the oracle counts over all N^2 pairs of elements.
     for table in (loop, fixed_zero_relabel(loop, random.Random(center_size))):
         fresh = AbstractLoop(table.table, validate=False)
         assert len(fresh.center()) == center_size
