@@ -164,25 +164,43 @@ class AbstractLoop:
 
     @cached_property
     def _center(self) -> list[int]:
+        # For central k, (x(ak))b = ((xa)b)k, x((ak)b) = (x(ab))k and (ak)(xb) =
+        # (a(xb))k, likewise for b -> bk, and y -> yk is a bijection: the laws for
+        # x hold at (a, b) iff they hold at (ak, b) and (a, bk).  So once a central
+        # subgroup K is found, a check runs over pairs of coset representatives
+        # of K (the least element of each coset): N^2/|K|^2 cells.
         arr = self.table
         central = np.zeros(self.size, dtype=bool)
         central[self.identity] = True
         refused = np.zeros(self.size, dtype=bool)
+        reps = None
         for x in np.flatnonzero(self._commutant_counts == self.size):
             if central[x] or refused[x]:
                 continue
-            if self._nuclear(x):
+            if self._nuclear(x, reps):
                 central[x] = True
-                self._close(central)
+                self._grow(central)
+                reps = np.unique(arr.take(np.flatnonzero(central), axis=1).min(axis=1))
             else:
                 refused[arr[x, central]] = True
         return np.flatnonzero(central).tolist()
 
-    def _nuclear(self, x: int) -> bool:
-        """The nucleus laws (xa)b = x(ab) and (xa)b = a(xb), a band of rows a at a time."""
+    def _nuclear(self, x: int, reps: np.ndarray | None = None) -> bool:
+        """The nucleus laws (xa)b = x(ab) and (xa)b = a(xb) for a and b in reps
+        (every element if None), a band of rows a at a time."""
         arr, n = self.table, self.size
         fx = arr[x]
         rows = max(1, _GATHER_CELLS // n)
+        if reps is not None:
+            x_b = fx.take(reps)
+            for lo in range(0, reps.size, rows):
+                a = reps[lo : lo + rows]
+                band = arr.take(a, axis=0)
+                xa_b = arr.take(fx.take(a), axis=0).take(reps, axis=1)
+                ab = band.take(reps, axis=1)
+                if (xa_b != fx.take(ab)).any() or (xa_b != band.take(x_b, axis=1)).any():
+                    return False
+            return True
         for lo in range(0, n, rows):
             band = arr[lo : lo + rows]
             xa_b = arr.take(fx[lo : lo + rows], axis=0)
@@ -195,13 +213,27 @@ class AbstractLoop:
         inside = np.zeros(self.size, dtype=bool)
         inside[self._checked(seed)] = True
         inside[self.identity] = True
-        self._close(inside)
+        self._grow(inside)
         return set(np.flatnonzero(inside).tolist())
+
+    def _grow(self, inside: np.ndarray) -> int:
+        """Grow the boolean mask inside, in place, until it is closed under mul,
+        by scattering S x S into it until its count stops growing; returns the
+        count.  For the callers that read no waves: it sorts nothing."""
+        count = np.count_nonzero(inside)
+        while count < self.size:
+            S = np.flatnonzero(inside)
+            inside[self.table.take(S, axis=0).take(S, axis=1)] = True
+            count, before = np.count_nonzero(inside), count
+            if count == before:
+                break
+        return count
 
     def _close(self, inside: np.ndarray) -> list:
         """Grow the boolean mask inside, in place, until it is closed under mul.
         Returns the waves taken, each (xs, us, vs) with xs[i] = us[i] * vs[i]:
-        xs are the distinct products outside the set, us and vs inside it."""
+        xs are the distinct products outside the set, us and vs inside it.
+        Each wave sorts (np.unique); _grow finds the closure with no waves."""
         waves = []
         while not inside.all():
             S = np.flatnonzero(inside)
@@ -315,30 +347,34 @@ class AbstractLoop:
 
         Each step adds the generator g whose closure with the set so far is
         largest (ties go to the smallest index), with the waves _close took
-        to reach the elements it adds.  A candidate inside an earlier
-        candidate's closure at the same step is skipped: its own closure is
-        contained in that one, so it can never strictly win.  Nor can, at the
-        first step once a candidate is held, an involution: {e, g} is least.
+        to reach the elements it adds.  Candidates are scored by the size of
+        their closure alone (_grow, no waves); only the winner's waves are
+        recorded, once per step.  A candidate inside an earlier candidate's
+        closure at the same step is skipped: its own closure is contained in
+        that one, so it can never strictly win.  Nor can, at the first step
+        once a candidate is held, an involution: {e, g} is least.
         """
         arr = self.table
         inside = np.zeros(self.size, dtype=bool)
         inside[self.identity] = True
         program: list[_Step] = []
         while not inside.all():
-            best = None
+            best, most = None, 0
             covered = inside.copy()
             for g in range(self.size):
                 if covered[g] or best is not None and not program and arr[g, g] == self.identity:
                     continue
                 grown = inside.copy()
                 grown[g] = True
-                waves = self._close(grown)
+                count = self._grow(grown)
                 covered |= grown
-                if best is None or grown.sum() > best[1].sum():
-                    best = g, grown, waves
-                    if grown.all():
+                if count > most:
+                    best, most = g, count
+                    if count == self.size:
                         break
-            g, inside, waves = best
+            g = best
+            inside[g] = True
+            waves = self._close(inside)
             S = np.flatnonzero(inside)
             new = np.concatenate([[g]] + [xs for xs, _, _ in waves])
             # Probe cells: steps of an odd integer stride near 618/1000 of the new x S
@@ -663,7 +699,11 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     products all over new x S, so _PROBE_CELLS cells spread over the block
     are checked before the rest.  The last two levels are expanded a block
     of rows at a time, in depth-first order, so the witness is still the
-    first isomorphism along the ladder.  Injectivity follows: a surviving
+    first isomorphism along the ladder.  The leaf level wants only that
+    first row: after the class and probe tests, its full check runs in
+    chunks of 1, 2, 4, ... rows and stops at the first row that passes, the
+    row a check of the whole block would put first; a failing row is never
+    returned, so None stays exact.  Injectivity follows: a surviving
     row is a homomorphism on S, and if phi(a) = phi(b) then the x in S with
     a * x = b has phi(x) = e, so x has order 1 like e and is the identity.
 
@@ -728,7 +768,7 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
             pick = pairs[lo : lo + block]
             C = rows[pick // cands.size]
             C[:, step.g] = cands[pick % cands.size]
-            nxt = _survivors(step, C, t2, cls_left, cls_right)
+            nxt = _survivors(step, C, t2, cls_left, cls_right, level == len(program) - 1)
             # The last two levels take a block's survivors in one pass, still
             # in depth-first order, so the first leaf found is the same.
             for part in [nxt] if level >= len(program) - 3 else nxt[:, None]:
@@ -748,9 +788,12 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     return mapping
 
 
-def _survivors(step: _Step, C: np.ndarray, t2: np.ndarray, cls_left, cls_right) -> np.ndarray:
+def _survivors(step: _Step, C: np.ndarray, t2: np.ndarray, cls_left, cls_right,
+               first: bool = False) -> np.ndarray:
     """The rows of C, maps with step.g's image set, that pass step's tests;
-    t2 is the right table, flat, and cls_* the signature classes."""
+    t2 is the right table, flat, and cls_* the signature classes.  With
+    first, only the first row that passes, if any: the rows left after the
+    class and probe tests take the full check in chunks of 1, 2, 4, ... rows."""
     n = cls_right.size
     for xs, us, vs in step.waves:
         C[:, xs] = t2[C[:, us] * n + C[:, vs]]
@@ -758,7 +801,13 @@ def _survivors(step: _Step, C: np.ndarray, t2: np.ndarray, cls_left, cls_right) 
     a, b, ab, ba = step.probe
     ok = (C[:, ab] == t2[C[:, a] * n + C[:, b]]).all(axis=1)
     C = C[ok & (C[:, ba] == t2[C[:, b] * n + C[:, a]]).all(axis=1)]
-    img, img_S = C[:, step.new], C[:, step.S]
-    left_mul = C[:, step.new_by_S] == t2[img[:, :, None] * n + img_S[:, None, :]]
-    right_mul = C[:, step.S_by_new] == t2[img_S[:, :, None] * n + img[:, None, :]]
-    return C[left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))]
+    lo, hi = 0, 1 if first else len(C)
+    while True:
+        part = C[lo:hi]
+        img, img_S = part[:, step.new], part[:, step.S]
+        left_mul = part[:, step.new_by_S] == t2[img[:, :, None] * n + img_S[:, None, :]]
+        right_mul = part[:, step.S_by_new] == t2[img_S[:, :, None] * n + img[:, None, :]]
+        kept = part[left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))]
+        if not first or len(kept) or hi >= len(C):
+            return kept[:1] if first else kept
+        lo, hi = hi, 2 * hi + 1

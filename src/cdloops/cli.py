@@ -202,9 +202,20 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _read_table(path: str, max_elements: int | None):
+def _read_text(path: str) -> str:
+    # ASCII bytes are decoded once, with no newline translation (the parser
+    # reads \r\n and \r as line breaks) and dropped before the parse.  Any
+    # other file takes the text-mode read, so its text and messages stay.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.isascii():
+        return data.decode("ascii")
     with open(path) as fh:
-        return parse_loop_table(fh.read(), max_elements)
+        return fh.read()
+
+
+def _read_table(path: str, max_elements: int | None):
+    return parse_loop_table(_read_text(path), max_elements)
 
 
 def _cmd_import(args) -> int:

@@ -152,9 +152,9 @@ def test_center_runs_one_full_check_per_generator(monkeypatch):
     checked = []
     nuclear = AbstractLoop._nuclear
 
-    def counting(self, x):
+    def counting(self, x, reps=None):
         checked.append(int(x))
-        return nuclear(self, x)
+        return nuclear(self, x, reps)
 
     monkeypatch.setattr(AbstractLoop, "_nuclear", counting)
 
@@ -216,6 +216,40 @@ def test_nucleus_check_in_uneven_bands_matches_the_oracles(monkeypatch, rows):
         for x in np.flatnonzero(np.array(fresh.commutant_sizes()) == fresh.size):
             assert fresh._nuclear(x) == (not law_breaking_rows(fresh, x))
         assert fresh.center() == three_law_center(fresh)
+
+
+def relabelled_products(rng: random.Random) -> list[AbstractLoop]:
+    """Test helper: relabelled two-factor products over |Z| in {2, 4, 6, 8}."""
+    loops = []
+    for k in (2, 4, 6, 8):
+        z = make_scalar_group(k)
+        factors = [CDLoop(z, tuple(z.scalar(rng.randrange(k)) for _ in range(2))) for _ in range(2)]
+        loops.append(relabelled_off_zero(to_table(make_product(z, factors)), rng))
+    return loops
+
+
+@pytest.mark.parametrize("rows", [1, 3, 10**6])
+def test_nucleus_check_over_coset_pairs_matches_the_oracles(monkeypatch, rows):
+    # Over the coset representatives of any central subgroup K, the check
+    # gives the verdict of the full laws: for the elements that commute with
+    # everything, central or not (LEFT_ONLY's 1 and 2), in uneven bands too.
+    z2 = [[0, 1], [1, 0]]
+    rng = random.Random(rows)
+    loops = [direct_product(LEFT_ONLY, z2), direct_product(z2, LEFT_ONLY),
+             direct_product(direct_product(LEFT_ONLY, z2).table, z2)]
+    loops += [relabelled_off_zero(loop, rng) for loop in loops] + relabelled_products(rng)
+    for loop in loops:
+        monkeypatch.setattr(abstract_loop, "_GATHER_CELLS", rows * loop.size)
+        fresh = AbstractLoop(loop.table, validate=False)  # nothing cached
+        center = three_law_center(fresh)
+        assert fresh.center() == center and len(center) > 1
+        arr = fresh.table.astype(np.int64)
+        for k in center:
+            K = sorted(fresh.closure([k]))
+            reps = np.unique(arr[:, K].min(axis=1))
+            assert reps.size * len(K) == fresh.size
+            for x in np.flatnonzero(np.array(fresh.commutant_sizes()) == fresh.size):
+                assert fresh._nuclear(x, reps) == (not law_breaking_rows(fresh, x))
 
 
 def test_element_orders_distinguish_gamma_signs():
@@ -386,6 +420,25 @@ def test_close_takes_the_reference_waves(seed):
         assert len(waves) == len(expected)
         for wave, reference in zip(waves, expected):
             assert all(np.array_equal(a, b) for a, b in zip(wave, reference))
+
+
+def test_grow_finds_the_closure_close_finds():
+    # The mask-only closure that scores ladder candidates, center() and
+    # closure() use against the wave-recording one, from random seed sets.
+    z2 = [[0, 1], [1, 0]]
+    rng = random.Random(41)
+    loops = [Q8, AbstractLoop(LEFT_ONLY), direct_product(LEFT_ONLY, z2),
+             direct_product(z2, direct_product(LEFT_ONLY, z2).table), O16]
+    loops += relabelled_products(rng)
+    for loop in loops:
+        for _ in range(8):
+            grown = np.zeros(loop.size, dtype=bool)
+            grown[rng.sample(range(loop.size), rng.randrange(1, 4))] = True
+            closed = grown.copy()
+            count = loop._grow(grown)
+            loop._close(closed)
+            assert np.array_equal(grown, closed)
+            assert count == np.count_nonzero(grown)
 
 
 def test_subloop_extraction_and_diagnostic():

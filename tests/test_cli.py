@@ -290,6 +290,57 @@ def test_import_rejects_corrupt_tables(capsys, tmp_path):
     assert code == 2
 
 
+def text_mode_import(path) -> tuple[int, str]:
+    """What a text-mode read of the file gives: the normalized table, or the
+    exit-2 line."""
+    try:
+        with open(path) as fh:
+            return 0, cdloops.serialize_loop_table(parse_loop_table(fh.read()))
+    except (ValueError, cdloops.TableFormatError) as exc:
+        return 2, f"error: {exc}\n"
+
+
+def table_variants() -> dict[str, bytes]:
+    """A relabelled 256-element table (two 128 KiB blocks and more) and a
+    16-element one, with other line breaks and separators and with defects."""
+    z = cdloops.make_scalar_group(4)
+    big = cdloops.to_table(cdloops.make_product(z, [cdloops.CDLoop.all_minus_one(z, 3)] * 2))
+    small = cdloops.to_table(cdloops.CDLoop.all_minus_one(cdloops.make_scalar_group(2), 3))
+    rng = random.Random(31)
+    text = {name: cdloops.serialize_loop_table(cdloops.random_relabel(loop, rng)[0]).encode()
+            for name, loop in (("big", big), ("small", small))}
+    head, *rows = text["small"].split(b"\n")
+    short = b"\n".join([head, *rows[:3], rows[3].rsplit(b" ", 1)[0], *rows[4:]])
+    return {
+        "crlf": text["big"].replace(b"\n", b"\r\n"),
+        "bare-cr": text["big"].replace(b"\n", b"\r"),
+        "tabs": text["big"].replace(b" ", b"\t"),
+        "crlf-small": text["small"].replace(b"\n", b"\r\n"),
+        "crlf-duplicate": text["small"].replace(b"\n", b"\r\n").replace(b"\r\n1 ", b"\r\n2 ", 1),
+        "bare-cr-short-row": short.replace(b"\n", b"\r"),
+        "crlf-header": text["small"].replace(b"v1", b"v2").replace(b"\n", b"\r\n"),
+        "non-utf-8": text["small"].replace(b"\n", b" \xff\n", 2),
+        "utf-8-space": text["small"].replace(b" ", "\u00a0".encode(), 1),
+    }
+
+
+@pytest.mark.parametrize("name", list(table_variants()))
+def test_import_reads_the_bytes_as_the_text_mode_read_did(capsys, tmp_path, name):
+    # ASCII files are decoded from their bytes, with no newline translation;
+    # the table or the exit-2 line is the one a text-mode read gives.
+    table = tmp_path / "table.txt"
+    table.write_bytes(table_variants()[name])
+    want_code, want = text_mode_import(table)
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli(capsys, "import", "--table", str(table), "--out", str(out))
+    assert code == want_code, err
+    if code == 0:
+        assert out.read_text() == want
+    else:
+        assert err == want and not out.exists()
+    assert (code == 0) == (name in ("crlf", "bare-cr", "tabs", "crlf-small")), err
+
+
 @pytest.mark.parametrize(
     "body", ["-0\n", "-00 1\n1 0\n", "1 0\n0 -1\n"], ids=["-0", "-00", "0 -1"]
 )

@@ -246,17 +246,20 @@ def test_ladder_equals_the_reference_greedy_ladder(dims):
 
 def test_the_first_level_does_not_close_involutions(monkeypatch):
     # {e, g} for an involution g is the least closure, so once a candidate is
-    # held the first level skips them: 66 of the 153 closures on this loop
+    # held the first level skips them: 66 of the 153 scoring closures on this
+    # loop.  Waves are taken once per level, for its generator alone.
     rng = random.Random("ladder-(2, 3, 2)")
     loop = fixed_zero_relabel(to_table(random_product(rng, 2, 3, 2)), rng)
     involutions = sum(int(loop.table[g, g]) == loop.identity for g in range(loop.size)) - 1
     want = reference_ladder(loop)
-    calls = []
-    close = AbstractLoop._close
-    monkeypatch.setattr(AbstractLoop, "_close", lambda self, inside: calls.append(1) or close(self, inside))
+    calls, waves = [], []
+    grow, close = AbstractLoop._grow, AbstractLoop._close
+    monkeypatch.setattr(AbstractLoop, "_grow", lambda self, inside: calls.append(1) or grow(self, inside))
+    monkeypatch.setattr(AbstractLoop, "_close", lambda self, inside: waves.append(1) or close(self, inside))
     fresh = AbstractLoop(loop.table, validate=False)
     assert [s.g for s in fresh._word_program] == want
     assert involutions == 67 and len(calls) == 153 - 66
+    assert len(waves) == len(want)
 
 
 def cd_table(z_order: int, gammas) -> AbstractLoop:
@@ -477,13 +480,79 @@ def test_pruned_row_counts_on_the_n5_minus_one_loop(monkeypatch):
     gens = [step.g for step in left._word_program]
     counts = count_rows(monkeypatch)
     witness = find_isomorphism(left, right)
-    assert [counts[g] for g in gens] == [[30, 30], [120, 112], [2670, 352], [10560, 4], [4, 4]]
+    # The leaf level returns only its first survivor, of the 4 and the 32 that pass there.
+    assert [counts[g] for g in gens] == [[30, 30], [120, 112], [2670, 352], [10560, 4], [4, 1]]
     counts.clear()
     unpruned(monkeypatch)
     assert find_isomorphism(AbstractLoop(left.table), right) == witness
     assert [counts[g] for g in gens] == [
-        [60, 60], [240, 224], [10380, 1328], [79680, 16], [32, 32]
+        [60, 60], [240, 224], [10380, 1328], [79680, 16], [32, 1]
     ]
+
+
+def leaf_survivors(monkeypatch) -> list[int]:
+    """Rows that pass the full check at each call on the leaf level, counted
+    on a copy of its rows; the first of them is what the leaf returns."""
+    counts = []
+    survivors = abstract_loop._survivors
+
+    def counted(step, C, t2, cls_left, cls_right, first=False):
+        if not first:
+            return survivors(step, C, t2, cls_left, cls_right)
+        every = survivors(step, C.copy(), t2, cls_left, cls_right)
+        counts.append(len(every))
+        kept = survivors(step, C, t2, cls_left, cls_right, first)
+        assert np.array_equal(kept, every[:1])
+        return kept
+
+    monkeypatch.setattr(abstract_loop, "_survivors", counted)
+    return counts
+
+
+def test_the_first_leaf_survivor_is_the_reference_witness(monkeypatch):
+    # The benchmark's shapes, and a Z4 pair with equal signatures and no
+    # isomorphism.  An m1n3z8 leaf has more than 50 survivors: the first one
+    # in depth-first order is the witness, as it was when the leaf kept all.
+    rng = random.Random("leaf-oracle")
+    pairs = []
+    for dims in [(1, 4, 4), (1, 3, 8), (2, 3, 2), (1, 5, 2)]:
+        left = to_table(random_product(rng, *dims))
+        pairs.append((left, fixed_zero_relabel(left, rng)))
+    pairs.append((cd_table(4, (2, 3, 3, 3)), fixed_zero_relabel(cd_table(4, (2, 2, 0, 3)), rng)))
+    want = [reference_find_isomorphism(left, right) for left, right in pairs]
+    assert want[-1] is None and None not in want[:-1]
+    leaves = leaf_survivors(monkeypatch)
+    assert [find_isomorphism(left, right) for left, right in pairs] == want
+    assert max(leaves) > 50
+    unpruned(monkeypatch)
+    for (left, right), witness in zip(pairs, want):
+        assert find_isomorphism(AbstractLoop(left.table, validate=False), right) == witness
+
+
+def test_the_leaf_check_returns_the_first_row_that_passes(monkeypatch):
+    # Rows into the last level: a witness with its generator's image replaced
+    # by every element in turn, shuffled, with no class test and no probe
+    # cells, so most rows fail the full check and the first passing row sits
+    # anywhere among the chunks of 1, 2, 4, ... rows.
+    monkeypatch.setattr(abstract_loop, "_PROBE_CELLS", 0)
+    rng = random.Random(43)
+    left = to_table(random_product(rng, 1, 3, 8))
+    right = fixed_zero_relabel(left, rng)
+    witness = np.array(find_isomorphism(left, right))
+    step = left._word_program[-1]
+    classes = np.zeros(left.size, dtype=np.int64)
+    t2 = right.table.ravel()
+    firsts = set()
+    for _ in range(40):
+        C = np.repeat(witness[None], left.size, axis=0)
+        C[:, step.new] = -1
+        C[:, step.g] = rng.sample(range(left.size), left.size)
+        every = abstract_loop._survivors(step, C.copy(), t2, classes, classes)
+        first = abstract_loop._survivors(step, C.copy(), t2, classes, classes, True)
+        assert 0 < len(every) < left.size // 4
+        assert np.array_equal(first, every[:1])
+        firsts.add(int(np.flatnonzero(C[:, step.g] == first[0, step.g])[0]))
+    assert len(firsts) > 10 and max(firsts) > 15
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, object])
