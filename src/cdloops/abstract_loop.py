@@ -10,7 +10,8 @@ Isomorphism search runs on a word program compiled once per loop: a greedy
 generator ladder, and for each generator the waves of products that reach
 every element it adds to the closure.  Evaluating the program on a whole
 array of candidate images at once turns the backtracking search into a few
-numpy passes per node.
+numpy passes per node; every level checks the surviving rows, and descends
+with them, in chunks of 1, 2, 4, ... rows.
 """
 
 from __future__ import annotations
@@ -697,13 +698,12 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     classes and products over new x S and S x new are preserved (pairs
     inside the old S passed at earlier levels).  A wrong image breaks
     products all over new x S, so _PROBE_CELLS cells spread over the block
-    are checked before the rest.  The last two levels are expanded a block
-    of rows at a time, in depth-first order, so the witness is still the
-    first isomorphism along the ladder.  The leaf level wants only that
-    first row: after the class and probe tests, its full check runs in
-    chunks of 1, 2, 4, ... rows and stops at the first row that passes, the
-    row a check of the whole block would put first; a failing row is never
-    returned, so None stays exact.  Injectivity follows: a surviving
+    are checked before the rest.  Every level then runs the full check on
+    the rows left in chunks of 1, 2, 4, ... rows and descends with each
+    chunk's survivors together, before the next chunk is checked: rows keep
+    depth-first order, so the witness is the first isomorphism along the
+    ladder, and the search stops checking at the first one.  A failing row
+    is never returned, so None stays exact.  Injectivity follows: a surviving
     row is a homomorphism on S, and if phi(a) = phi(b) then the x in S with
     a * x = b has phi(x) = e, so x has order 1 like e and is the identity.
 
@@ -768,11 +768,8 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
             pick = pairs[lo : lo + block]
             C = rows[pick // cands.size]
             C[:, step.g] = cands[pick % cands.size]
-            nxt = _survivors(step, C, t2, cls_left, cls_right, level == len(program) - 1)
-            # The last two levels take a block's survivors in one pass, still
-            # in depth-first order, so the first leaf found is the same.
-            for part in [nxt] if level >= len(program) - 3 else nxt[:, None]:
-                found = search(level + 1, part) if len(part) else None
+            for part in _survivors(step, C, t2, cls_left, cls_right):
+                found = search(level + 1, part)
                 if found is not None:
                     return found
         return None
@@ -788,12 +785,12 @@ def find_isomorphism(left: AbstractLoop, right: AbstractLoop) -> list[int] | Non
     return mapping
 
 
-def _survivors(step: _Step, C: np.ndarray, t2: np.ndarray, cls_left, cls_right,
-               first: bool = False) -> np.ndarray:
-    """The rows of C, maps with step.g's image set, that pass step's tests;
-    t2 is the right table, flat, and cls_* the signature classes.  With
-    first, only the first row that passes, if any: the rows left after the
-    class and probe tests take the full check in chunks of 1, 2, 4, ... rows."""
+def _survivors(step: _Step, C: np.ndarray, t2: np.ndarray, cls_left, cls_right):
+    """The rows of C, maps with step.g's image set, that pass step's tests,
+    in order; t2 is the right table, flat, and cls_* the signature classes.
+    The class and probe tests run over the whole block, then the full check
+    over new x S and S x new runs on the rows left in chunks of 1, 2, 4, ...
+    rows, and each chunk's survivors, if any, are yielded in turn."""
     n = cls_right.size
     for xs, us, vs in step.waves:
         C[:, xs] = t2[C[:, us] * n + C[:, vs]]
@@ -801,13 +798,13 @@ def _survivors(step: _Step, C: np.ndarray, t2: np.ndarray, cls_left, cls_right,
     a, b, ab, ba = step.probe
     ok = (C[:, ab] == t2[C[:, a] * n + C[:, b]]).all(axis=1)
     C = C[ok & (C[:, ba] == t2[C[:, b] * n + C[:, a]]).all(axis=1)]
-    lo, hi = 0, 1 if first else len(C)
-    while True:
-        part = C[lo:hi]
+    lo = 0
+    while lo < len(C):
+        part = C[lo : 2 * lo + 1]
         img, img_S = part[:, step.new], part[:, step.S]
         left_mul = part[:, step.new_by_S] == t2[img[:, :, None] * n + img_S[:, None, :]]
         right_mul = part[:, step.S_by_new] == t2[img_S[:, :, None] * n + img[:, None, :]]
         kept = part[left_mul.all(axis=(1, 2)) & right_mul.all(axis=(1, 2))]
-        if not first or len(kept) or hi >= len(C):
-            return kept[:1] if first else kept
-        lo, hi = hi, 2 * hi + 1
+        if len(kept):
+            yield kept
+        lo = 2 * lo + 1

@@ -458,16 +458,18 @@ def test_an_unprunable_level_and_a_right_loop_without_a_square_involution():
 
 
 def count_rows(monkeypatch) -> dict:
-    """Rows tried and rows kept per ladder generator, summed over the search."""
+    """Calls, rows tried and rows yielded per ladder generator, summed over
+    the search."""
     counts: dict = {}
     survivors = abstract_loop._survivors
 
     def counted(step, C, *args):
-        kept = survivors(step, C, *args)
-        tried_kept = counts.setdefault(step.g, [0, 0])
-        tried_kept[0] += len(C)
-        tried_kept[1] += len(kept)
-        return kept
+        count = counts.setdefault(step.g, [0, 0, 0])
+        count[0] += 1
+        count[1] += len(C)
+        for part in survivors(step, C, *args):
+            count[2] += len(part)
+            yield part
 
     monkeypatch.setattr(abstract_loop, "_survivors", counted)
     return counts
@@ -480,39 +482,59 @@ def test_pruned_row_counts_on_the_n5_minus_one_loop(monkeypatch):
     gens = [step.g for step in left._word_program]
     counts = count_rows(monkeypatch)
     witness = find_isomorphism(left, right)
-    # The leaf level returns only its first survivor, of the 4 and the 32 that pass there.
-    assert [counts[g] for g in gens] == [[30, 30], [120, 112], [2670, 352], [10560, 4], [4, 1]]
+    # Rows yielded are the rows the search went down with: every level stops
+    # checking once a chunk below it reaches the first full map.
+    assert [counts[g] for g in gens] == [
+        [1, 30, 7], [3, 210, 91], [14, 2730, 347], [64, 10410, 1], [1, 1, 1]
+    ]
     counts.clear()
     unpruned(monkeypatch)
     assert find_isomorphism(AbstractLoop(left.table), right) == witness
     assert [counts[g] for g in gens] == [
-        [60, 60], [240, 224], [10380, 1328], [79680, 16], [32, 1]
+        [1, 60, 7], [3, 420, 175], [16, 10500, 1319], [112, 79140, 1], [1, 2, 1]
     ]
 
 
-def leaf_survivors(monkeypatch) -> list[int]:
-    """Rows that pass the full check at each call on the leaf level, counted
-    on a copy of its rows; the first of them is what the leaf returns."""
-    counts = []
+def whole_block_survivors(step, C, t2, cls_left, cls_right) -> np.ndarray:
+    """Test-only oracle: the rows of C that pass step's class test and the
+    full new x S and S x new check, every row at once (no probe, no chunks)."""
+    n = cls_right.size
+    for xs, us, vs in step.waves:
+        C[:, xs] = t2[C[:, us] * n + C[:, vs]]
+    img, img_S = C[:, step.new], C[:, step.S]
+    ok = (cls_right[img] == cls_left[step.new]).all(axis=1)
+    ok &= (C[:, step.new_by_S] == t2[img[:, :, None] * n + img_S[:, None, :]]).all(axis=(1, 2))
+    ok &= (C[:, step.S_by_new] == t2[img_S[:, :, None] * n + img[:, None, :]]).all(axis=(1, 2))
+    return C[ok]
+
+
+def checked_survivors(monkeypatch) -> dict:
+    """Wrap _survivors at every level.  On a copy of its rows, drain the
+    generator: its chunks are nonempty and concatenate to the whole-block
+    check, and the chunks the search takes are a prefix of them.  Returns,
+    per ladder generator, the whole-block survivor count of each call."""
+    calls: dict = {}
     survivors = abstract_loop._survivors
 
-    def counted(step, C, t2, cls_left, cls_right, first=False):
-        if not first:
-            return survivors(step, C, t2, cls_left, cls_right)
-        every = survivors(step, C.copy(), t2, cls_left, cls_right)
-        counts.append(len(every))
-        kept = survivors(step, C, t2, cls_left, cls_right, first)
-        assert np.array_equal(kept, every[:1])
-        return kept
+    def checked(step, C, t2, cls_left, cls_right):
+        chunks = list(survivors(step, C.copy(), t2, cls_left, cls_right))
+        every = whole_block_survivors(step, C.copy(), t2, cls_left, cls_right)
+        assert all(len(part) for part in chunks)
+        assert np.array_equal(np.concatenate([every[:0], *chunks]), every)
+        calls.setdefault(step.g, []).append(len(every))
+        for k, part in enumerate(survivors(step, C, t2, cls_left, cls_right)):
+            assert np.array_equal(part, chunks[k])
+            yield part
 
-    monkeypatch.setattr(abstract_loop, "_survivors", counted)
-    return counts
+    monkeypatch.setattr(abstract_loop, "_survivors", checked)
+    return calls
 
 
 def test_the_first_leaf_survivor_is_the_reference_witness(monkeypatch):
     # The benchmark's shapes, and a Z4 pair with equal signatures and no
-    # isomorphism.  An m1n3z8 leaf has more than 50 survivors: the first one
-    # in depth-first order is the witness, as it was when the leaf kept all.
+    # isomorphism, checked chunk by chunk at every level.  Some block has more
+    # than 30 survivors and some leaf more than one: the first in depth-first
+    # order is the witness, as it was when the leaf kept all.
     rng = random.Random("leaf-oracle")
     pairs = []
     for dims in [(1, 4, 4), (1, 3, 8), (2, 3, 2), (1, 5, 2)]:
@@ -521,19 +543,38 @@ def test_the_first_leaf_survivor_is_the_reference_witness(monkeypatch):
     pairs.append((cd_table(4, (2, 3, 3, 3)), fixed_zero_relabel(cd_table(4, (2, 2, 0, 3)), rng)))
     want = [reference_find_isomorphism(left, right) for left, right in pairs]
     assert want[-1] is None and None not in want[:-1]
-    leaves = leaf_survivors(monkeypatch)
-    assert [find_isomorphism(left, right) for left, right in pairs] == want
-    assert max(leaves) > 50
+    leaves, busiest = [], 0
+    for (left, right), witness in zip(pairs, want):
+        calls = checked_survivors(monkeypatch)
+        assert find_isomorphism(left, right) == witness
+        program = left._word_program
+        assert witness is None or len(calls) == len(program)
+        leaves += calls.get(program[-1].g, [])
+        if witness:
+            busiest = max([busiest, *(max(v) for v in calls.values())])
+    assert max(leaves) > 1 and busiest > 30
     unpruned(monkeypatch)
     for (left, right), witness in zip(pairs, want):
         assert find_isomorphism(AbstractLoop(left.table, validate=False), right) == witness
 
 
+def test_every_level_descends_in_chunks_on_the_n6_minus_one_loop(monkeypatch):
+    # One descent rule at every level: the fourth level goes down a chunk of
+    # 1, 2, 4, ... survivors at a time, not one survivor per call.
+    left = to_table(CDLoop.all_minus_one(Z2, 6))
+    right, _ = random_relabel(left, random.Random(1))
+    counts = count_rows(monkeypatch)
+    witness = find_isomorphism(left, right)
+    assert verify_isomorphism(left, right, witness)
+    # One survivor per call at the fourth level made 5696 calls there.
+    assert [counts[step.g][0] for step in left._word_program] == [1, 5, 36, 291, 232, 1]
+
+
 def test_the_leaf_check_returns_the_first_row_that_passes(monkeypatch):
     # Rows into the last level: a witness with its generator's image replaced
     # by every element in turn, shuffled, with no class test and no probe
-    # cells, so most rows fail the full check and the first passing row sits
-    # anywhere among the chunks of 1, 2, 4, ... rows.
+    # cells, so every row reaches the full check, most rows fail it, and the
+    # first passing row sits anywhere among the chunks of 1, 2, 4, ... rows.
     monkeypatch.setattr(abstract_loop, "_PROBE_CELLS", 0)
     rng = random.Random(43)
     left = to_table(random_product(rng, 1, 3, 8))
@@ -547,11 +588,16 @@ def test_the_leaf_check_returns_the_first_row_that_passes(monkeypatch):
         C = np.repeat(witness[None], left.size, axis=0)
         C[:, step.new] = -1
         C[:, step.g] = rng.sample(range(left.size), left.size)
-        every = abstract_loop._survivors(step, C.copy(), t2, classes, classes)
-        first = abstract_loop._survivors(step, C.copy(), t2, classes, classes, True)
+        every = whole_block_survivors(step, C.copy(), t2, classes, classes)
+        passing = np.flatnonzero(np.isin(C[:, step.g], every[:, step.g]))
+        chunks = list(abstract_loop._survivors(step, C.copy(), t2, classes, classes))
         assert 0 < len(every) < left.size // 4
-        assert np.array_equal(first, every[:1])
-        firsts.add(int(np.flatnonzero(C[:, step.g] == first[0, step.g])[0]))
+        assert np.array_equal(np.concatenate(chunks), every)
+        # Chunk k holds the passing rows among rows 2^k - 1 .. 2^(k+1) - 2.
+        spans = [passing[(passing >= (1 << k) - 1) & (passing < (2 << k) - 1)]
+                 for k in range(left.size.bit_length())]
+        assert [len(part) for part in chunks] == [len(span) for span in spans if len(span)]
+        firsts.add(int(passing[0]))
     assert len(firsts) > 10 and max(firsts) > 15
 
 
