@@ -33,8 +33,8 @@ MAX_ISO_SIZE = 256
 
 # Cells of a level's new x S block checked before the rest (see find_isomorphism).
 _PROBE_CELLS = 32
-# Cells per band of take gathers in relabel, subloop, the nucleus check and the
-# signature count, and of the Latin check's sorts: take copies an index to intp first.
+# Cells per band of take gathers (relabel, subloop, nucleus check, signatures), of
+# the Latin check's flags and of the commutant counts: take copies an index to intp first.
 _GATHER_CELLS = 1 << 16
 
 
@@ -79,21 +79,20 @@ class AbstractLoop:
     # -- validation ------------------------------------------------------------
 
     def _validate_latin(self) -> None:
-        # A line is a permutation iff it sorts to 0..N-1: sort bands of rows,
-        # then of columns, copied into one buffer 256 cells of each line at a
-        # time (a whole band of columns at a power-of-two stride thrashes the cache);
-        # uint8 bands sort fastest by radix (kind="stable"), wider ones by the default.
+        # A line is a permutation iff it holds all N values: per band of rows, then
+        # of columns, clear band x N flags, set flags[i * N + v] for each entry v of
+        # line i (in range: __init__ checked) and name the first line with one clear.
         arr, n = self.table, self.size
-        expected = np.arange(n, dtype=arr.dtype)
-        rows = max(1, _GATHER_CELLS // n)
-        buf = np.empty((min(rows, n), n), dtype=arr.dtype)
+        rows = min(n, max(1, _GATHER_CELLS // n))
+        flags = np.empty(rows * n, dtype=bool)
+        offsets = np.arange(0, rows * n, n)[:, None]
         for name, lines in (("row", arr), ("column", arr.T)):
             for r in range(0, n, rows):
-                block = buf[: min(rows, n - r)]
-                for c in range(0, n, 256):
-                    block[:, c : c + 256] = lines[r : r + rows, c : c + 256]
-                block.sort(axis=1, kind="stable" if arr.dtype == np.uint8 else None)
-                bad = np.flatnonzero((block != expected).any(axis=1))
+                band = lines[r : r + rows]
+                seen = flags[: band.size]
+                seen[:] = False
+                seen[band + offsets[: len(band)]] = True
+                bad = np.flatnonzero(~seen.reshape(band.shape).all(axis=1))
                 if bad.size:
                     raise TableFormatError(
                         f"{name} {r + bad[0]} is not a permutation of 0..{n - 1}"
@@ -102,7 +101,7 @@ class AbstractLoop:
     def _find_identity(self) -> int:
         arr = self.table
         expected = np.arange(self.size)
-        for e in range(self.size):
+        for e in np.flatnonzero(arr[0] == 0).tolist():  # an identity e has 0 * e = 0
             if np.array_equal(arr[e], expected) and np.array_equal(arr[:, e], expected):
                 return e
         raise TableFormatError("table has no two-sided identity element")
@@ -273,13 +272,14 @@ class AbstractLoop:
 
     @cached_property
     def _commutant_counts(self) -> np.ndarray:
-        # Bands of 128 rows against their transposed columns from the diagonal
-        # on: a match right of the diagonal block counts for both its rows.
+        # Bands of rows against their transposed columns from the diagonal on: a
+        # match right of the diagonal block counts for both its rows.
         arr, counts = self.table, np.zeros(self.size, dtype=np.int64)
-        for lo in range(0, self.size, 128):
-            same = arr[lo : lo + 128, lo:] == arr[lo:, lo : lo + 128].T
-            counts[lo : lo + 128] += same.sum(axis=1)
-            counts[lo + 128 :] += same[:, 128:].sum(axis=0)
+        rows = max(1, _GATHER_CELLS // self.size)
+        for lo in range(0, self.size, rows):
+            same = arr[lo : lo + rows, lo:] == arr[lo:, lo : lo + rows].T
+            counts[lo : lo + rows] += same.sum(axis=1)
+            counts[lo + rows :] += same[:, rows:].sum(axis=0)
         return counts
 
     def subloop(self, indices) -> "AbstractLoop":

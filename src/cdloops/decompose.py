@@ -65,7 +65,7 @@ def _ranks(loop: AbstractLoop, n: int, m: int, elements: np.ndarray) -> np.ndarr
         count = b_k_closed(n, k) * loop.size
         assert count.denominator == 1
         lookup[int(count)] = k
-    counts = np.array(loop.commutant_sizes())[elements]
+    counts = loop._commutant_counts[elements]
     ranks = lookup[counts]
     if (ranks < 0).any():
         i = int(np.flatnonzero(ranks < 0)[0])
@@ -122,13 +122,12 @@ def recover_factors(loop: AbstractLoop, n: int) -> Decomposition:
                 f"element {pivot} has rank 1 but belongs to none of the {m} "
                 "recovered factors: table is not a central product"
             )
-        seed = central | (rank1 & (loop.table[pivot] != loop.table[:, pivot]))
-        seed[pivot] = True
-        members = np.zeros(loop.size, dtype=bool)
-        members[list(loop.closure(np.flatnonzero(seed)))] = True
-        if members.sum() != expected_size:
+        members = central | (rank1 & (loop.table[pivot] != loop.table[:, pivot]))
+        members[pivot] = True
+        size = loop._grow(members)
+        if size != expected_size:
             raise DecompositionError(
-                f"factor seeded at element {pivot} closes to {members.sum()} "
+                f"factor seeded at element {pivot} closes to {size} "
                 f"elements, expected {expected_size}: table is not a central "
                 "product"
             )

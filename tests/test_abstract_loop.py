@@ -535,7 +535,7 @@ def test_latin_check_names_the_first_bad_row_or_column():
 
 
 def test_latin_check_names_the_first_bad_line_past_the_first_block():
-    # 1024 rows are sorted 64 at a time: defects sit in later blocks.
+    # 1024 rows are flagged in bands of 64: defects sit in later bands.
     rng = random.Random(12)
     base = to_table(CDLoop.all_minus_one(Z4, 8)).table
     for _ in range(6):
@@ -567,9 +567,8 @@ def set_latin_defect(table: list[list[int]]) -> str | None:
 @pytest.mark.parametrize("n", [200, 256, 300, 1001, 1024])
 def test_latin_check_agrees_with_a_set_oracle_on_single_cell_defects(n):
     # uint8 tables at 200 and 256 elements, uint16 above.  Bands are 65536 // N
-    # lines and column bands are transposed 256 rows at a time: 300 and 1001
-    # are multiples of neither.  A changed cell breaks its row; a swap within
-    # a row breaks two columns only.
+    # lines, so 300 and 1001 end in a short band.  A changed cell breaks its
+    # row; a swap within a row breaks two columns only.
     rng = random.Random(n)
     perm = np.array(rng.sample(range(n), n))
     base = perm[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n].astype(np.min_scalar_type(n - 1))
@@ -589,8 +588,8 @@ def test_latin_check_agrees_with_a_set_oracle_on_single_cell_defects(n):
 @pytest.mark.parametrize("rows", [None, 3], ids=["full-bands", "uneven-bands"])
 @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
 def test_latin_check_names_last_row_defects_alike_in_uint8_and_uint16(monkeypatch, rows, n, dtype):
-    # uint8 bands sort by radix, uint16 ones by the default sort; at three
-    # rows a band both sizes end in a short band.
+    # One flag scatter for uint8 and uint16 tables alike; at three rows a
+    # band both sizes end in a short band.
     if rows:
         monkeypatch.setattr(abstract_loop, "_GATHER_CELLS", rows * n)
     index = np.arange(n)
@@ -602,6 +601,94 @@ def test_latin_check_names_last_row_defects_alike_in_uint8_and_uint16(monkeypatc
         with pytest.raises(TableFormatError, match=f"^{line} is not a permutation of 0..{n - 1}$"):
             AbstractLoop(arr)
     assert AbstractLoop(base).table.dtype == dtype
+
+
+@pytest.mark.parametrize("n, rows", [(2048, None), (257, 1), (1001, 1)],
+                         ids=["2048-in-32-row-bands", "257-in-one-row-bands", "1001-in-one-row-bands"])
+def test_latin_check_agrees_with_the_sorted_reference_across_bands(monkeypatch, n, rows):
+    # 2048 elements are uint16, flagged 65536 // 2048 = 32 lines a band: cells
+    # 31 and 32 sit on either side of the first band edge.  At one line a band
+    # every line has a band of its own.  A changed cell breaks its row; a swap
+    # within a row breaks two columns only.
+    if rows:
+        monkeypatch.setattr(abstract_loop, "_GATHER_CELLS", rows * n)
+    rng = random.Random(n)
+    perm = np.array(rng.sample(range(n), n))
+    base = perm[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n].astype(np.min_scalar_type(n - 1))
+    assert base.dtype == np.uint16
+    with pytest.raises(TableFormatError, match="^table has no two-sided identity element$"):
+        AbstractLoop(base)  # a Latin square: only the identity is missing
+    cells = [(n - 1, n - 1, n - 2), (31, 0, 32), (32, 33, 31), (rng.randrange(n), *rng.sample(range(n), 2))]
+    for i, j, k in cells:
+        for swap in (False, True):
+            arr = base.copy()
+            if swap:
+                arr[i, j], arr[i, k] = arr[i, k], arr[i, j]
+            else:
+                arr[i, j] = arr[i, k]
+            want = sorted_latin_defect(arr)
+            assert want == (f"column {min(j, k)}" if swap else f"row {i}") + f" is not a permutation of 0..{n - 1}"
+            with pytest.raises(TableFormatError, match=f"^{want}$"):
+                AbstractLoop(arr)
+
+
+def scan_identity(arr: np.ndarray) -> int | None:
+    """Test-only oracle: the first index, trying every one in order, whose row
+    and column are both 0..N-1."""
+    expected = np.arange(len(arr))
+    for e in range(len(arr)):
+        if np.array_equal(arr[e], expected) and np.array_equal(arr[:, e], expected):
+            return e
+    return None
+
+
+@pytest.mark.parametrize("size", [128, 512, 2048])
+def test_identity_from_row_zero_matches_a_scan_over_every_index(size):
+    # Row 0 of a relabelled loop holds 0 once, in the identity's column.  With
+    # a second 0 put in front of it (column 0: 0 * 0 = 0 would make 0 the
+    # identity), the identity sits at the second zero; once its row is broken
+    # too there is none, and both searches say so alike.
+    loop = {
+        128: lambda: to_table(CDLoop.all_minus_one(Z2, 6)),
+        512: BOUNDARY_LOOPS[512][1],
+        2048: lambda: to_table(make_product(Z2, [CDLoop.all_minus_one(Z2, 5)] * 2), max_elements=1 << 22),
+    }[size]()
+    shuffled = relabelled_off_zero(loop, random.Random(size))
+    t = shuffled.table
+    e = scan_identity(t)
+    assert shuffled.identity == e and t[0, 0] != 0 and np.count_nonzero(t[0] == 0) == 1
+    doubled = t.copy()
+    doubled[0, 0] = 0
+    assert np.flatnonzero(doubled[0] == 0).tolist() == [0, e]
+    assert AbstractLoop(doubled, validate=False).identity == scan_identity(doubled) == e
+    broken = doubled.copy()
+    k1, k2 = [k for k in range(3) if k != e][:2]
+    broken[e, k1] = broken[e, k2]
+    assert scan_identity(broken) is None
+    with pytest.raises(TableFormatError, match="^table has no two-sided identity element$"):
+        AbstractLoop(broken, validate=False)
+    zeroless = t.copy()
+    zeroless[0, e] = zeroless[0, 0]
+    assert scan_identity(zeroless) is None
+    with pytest.raises(TableFormatError, match="^table has no two-sided identity element$"):
+        AbstractLoop(zeroless, validate=False)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["one-row-bands", "three-row-bands", "whole"])
+@pytest.mark.parametrize("n", [257, 1001])
+def test_commutant_counts_in_bands_match_the_whole_table(monkeypatch, n, rows):
+    # A table with identity 0 whose other cells are random, half of them
+    # mirrored across the diagonal, so the counts vary from row to row; at
+    # three rows a band both sizes end in a short band.
+    monkeypatch.setattr(abstract_loop, "_GATHER_CELLS", (rows or n) * n)
+    rng = np.random.default_rng(n)
+    arr = rng.integers(0, n, size=(n, n))
+    arr = np.where(rng.random((n, n)) < 0.5, arr, arr.T)
+    arr[0], arr[:, 0] = np.arange(n), np.arange(n)
+    loop = AbstractLoop(arr, validate=False)
+    want = np.count_nonzero(arr == arr.T, axis=1)
+    assert len(set(want.tolist())) > 10
+    assert np.array_equal(loop._commutant_counts, want)
 
 
 @pytest.mark.parametrize(
